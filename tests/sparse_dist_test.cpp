@@ -4,15 +4,22 @@
 
 #include <atomic>
 #include <cstdlib>
+#include <functional>
 #include <new>
+#include <string>
 
 #include "comm/comm.hpp"
 #include "mesh/pde5pt.hpp"
 #include "sparse/dist_csr.hpp"
 #include "sparse/generate.hpp"
+#include "sparse/matrix_market.hpp"
 #include "sparse/ops.hpp"
 #include "sparse/partition.hpp"
 #include "support/rng.hpp"
+
+#ifndef LISI_TEST_DATA_DIR
+#define LISI_TEST_DATA_DIR "tests/data"
+#endif
 
 // ---- global allocation counter ----------------------------------------
 // Replaces the global allocation functions for this test binary so the
@@ -81,6 +88,98 @@ TEST(BlockRowPartition, MoreRanksThanRows) {
   EXPECT_EQ(p.localRows(4), 0);
 }
 
+/// DistCsrMatrix canonicalizes its block (sorted columns), so the serial
+/// reference runs on the canonical form too: both then accumulate every row
+/// in the same stored order.
+CsrMatrix canonical(CsrMatrix a) {
+  a.canonicalize();
+  return a;
+}
+
+CsrMatrixF toFloat(const CsrMatrix& a) {
+  CsrMatrixF f;
+  f.rows = a.rows;
+  f.cols = a.cols;
+  f.rowPtr = a.rowPtr;
+  f.colIdx = a.colIdx;
+  f.values.assign(a.values.begin(), a.values.end());
+  return f;
+}
+
+std::vector<double> randomVector(int n, std::uint64_t seed) {
+  std::vector<double> x(static_cast<std::size_t>(n));
+  Rng rng(seed);
+  for (auto& v : x) v = rng.uniform(-1, 1);
+  return x;
+}
+
+/// The bitwise oracle: spmv, spmvFloat and every spmvMulti lane equal the
+/// serial CSR kernel on the same matrix exactly.  Each row accumulates in
+/// stored order on both sides, so the halo exchange and the row schedule
+/// may not change a single bit.  `build` makes this rank's distributed
+/// operator for `serial` (scattered from a root copy unless given).
+void expectSpmvBitwiseSerial(
+    const CsrMatrix& serialIn, int p, std::uint64_t seed,
+    const std::function<DistCsrMatrix(comm::Comm&)>& build = {}) {
+  constexpr int kLanes = 3;
+  const CsrMatrix serial = canonical(serialIn);
+  const int n = serial.rows;
+  std::vector<std::vector<double>> x;
+  std::vector<std::vector<double>> yRef;
+  for (int v = 0; v < kLanes; ++v) {
+    x.push_back(randomVector(n, seed + static_cast<std::uint64_t>(v)));
+    yRef.emplace_back(static_cast<std::size_t>(n));
+    spmv(serial, std::span<const double>(x.back()),
+         std::span<double>(yRef.back()));
+  }
+  const std::vector<float> xF(x[0].begin(), x[0].end());
+  std::vector<float> yRefF(static_cast<std::size_t>(n));
+  spmv(toFloat(serial), std::span<const float>(xF), std::span<float>(yRefF));
+
+  comm::World::run(p, [&](comm::Comm& c) {
+    DistCsrMatrix dist =
+        build ? build(c) : DistCsrMatrix::scatterFromRoot(c, serial);
+    const auto s = static_cast<std::size_t>(dist.startRow());
+    const auto m = static_cast<std::size_t>(dist.localRows());
+    const auto xLoc = [&](int v) {
+      return std::span<const double>(x[static_cast<std::size_t>(v)])
+          .subspan(s, m);
+    };
+
+    std::vector<double> y(m);
+    dist.spmv(xLoc(0), std::span<double>(y));
+    for (std::size_t i = 0; i < m; ++i) {
+      EXPECT_EQ(y[i], yRef[0][s + i]) << "spmv rank " << c.rank() << " row "
+                                      << s + i;
+    }
+
+    std::vector<float> yF(m);
+    dist.spmvFloat(std::span<const float>(xF).subspan(s, m),
+                   std::span<float>(yF));
+    for (std::size_t i = 0; i < m; ++i) {
+      EXPECT_EQ(yF[i], yRefF[s + i]) << "spmvFloat rank " << c.rank()
+                                     << " row " << s + i;
+    }
+
+    std::vector<double> xMulti;
+    for (int v = 0; v < kLanes; ++v) {
+      xMulti.insert(xMulti.end(), xLoc(v).begin(), xLoc(v).end());
+    }
+    std::vector<double> yMulti(m * kLanes);
+    dist.spmvMulti(std::span<const double>(xMulti), std::span<double>(yMulti),
+                   kLanes);
+    for (int v = 0; v < kLanes; ++v) {
+      dist.spmv(xLoc(v), std::span<double>(y));
+      for (std::size_t i = 0; i < m; ++i) {
+        EXPECT_EQ(yMulti[static_cast<std::size_t>(v) * m + i], y[i])
+            << "spmvMulti lane " << v << " rank " << c.rank() << " row "
+            << s + i;
+        EXPECT_EQ(y[i], yRef[static_cast<std::size_t>(v)][s + i]);
+      }
+    }
+  });
+}
+
 class DistP : public ::testing::TestWithParam<int> {};
 
 TEST_P(DistP, SpmvMatchesSerialOnRandomMatrix) {
@@ -88,53 +187,37 @@ TEST_P(DistP, SpmvMatchesSerialOnRandomMatrix) {
   const int n = 83;
   Rng rngA(100);
   const CsrMatrix global = randomDiagDominant(n, 6, 1.0, rngA);
-  std::vector<double> x(static_cast<std::size_t>(n));
-  Rng rngX(200);
-  for (auto& v : x) v = rngX.uniform(-1, 1);
-  std::vector<double> yRef(static_cast<std::size_t>(n));
-  spmv(global, std::span<const double>(x), std::span<double>(yRef));
-
   comm::World::run(p, [&](comm::Comm& c) {
-    DistCsrMatrix dist = DistCsrMatrix::scatterFromRoot(c, global);
+    const DistCsrMatrix dist = DistCsrMatrix::scatterFromRoot(c, global);
     EXPECT_EQ(dist.globalRows(), n);
     EXPECT_EQ(dist.globalNnz(), global.nnz());
-    const int s = dist.startRow();
-    const int m = dist.localRows();
-    std::vector<double> xLoc(x.begin() + s, x.begin() + s + m);
-    std::vector<double> yLoc(static_cast<std::size_t>(m));
-    dist.spmv(std::span<const double>(xLoc), std::span<double>(yLoc));
-    for (int i = 0; i < m; ++i) {
-      EXPECT_NEAR(yLoc[static_cast<std::size_t>(i)],
-                  yRef[static_cast<std::size_t>(s + i)], 1e-12)
-          << "rank " << c.rank() << " row " << s + i;
-    }
   });
+  expectSpmvBitwiseSerial(global, p, 200);
 }
 
 TEST_P(DistP, SpmvMatchesSerialOnPdeMatrix) {
   const int p = GetParam();
   mesh::Pde5ptSpec spec;
   spec.gridN = 12;
-  const auto serial = mesh::assembleGlobal(spec);
-  std::vector<double> x(static_cast<std::size_t>(serial.globalN));
-  Rng rng(300);
-  for (auto& v : x) v = rng.uniform(-1, 1);
-  std::vector<double> yRef(x.size());
-  spmv(serial.localA, std::span<const double>(x), std::span<double>(yRef));
+  expectSpmvBitwiseSerial(
+      mesh::assembleGlobal(spec).localA, p, 300, [&](comm::Comm& c) {
+        const auto local = mesh::assembleLocal(spec, c.rank(), c.size());
+        return DistCsrMatrix(c, local.globalN, local.globalN, local.startRow,
+                             local.localA);
+      });
+}
 
-  comm::World::run(p, [&](comm::Comm& c) {
-    const auto local = mesh::assembleLocal(spec, c.rank(), c.size());
-    DistCsrMatrix dist(c, local.globalN, local.globalN, local.startRow,
-                       local.localA);
-    std::vector<double> xLoc(x.begin() + dist.startRow(),
-                             x.begin() + dist.startRow() + dist.localRows());
-    std::vector<double> yLoc(static_cast<std::size_t>(dist.localRows()));
-    dist.spmv(std::span<const double>(xLoc), std::span<double>(yLoc));
-    for (int i = 0; i < dist.localRows(); ++i) {
-      EXPECT_NEAR(yLoc[static_cast<std::size_t>(i)],
-                  yRef[static_cast<std::size_t>(dist.startRow() + i)], 1e-12);
-    }
-  });
+TEST_P(DistP, SpmvMatchesSerialOnZooMatrices) {
+  // The autotune zoo shapes: scattered FEM-like locality (synthetic and
+  // from disk) and dense 4x4 blocks.
+  const int p = GetParam();
+  Rng prng(7);
+  expectSpmvBitwiseSerial(permuteSymmetric(laplacian2d9(20, 20), prng), p,
+                          400);
+  expectSpmvBitwiseSerial(
+      readMatrixMarket(std::string(LISI_TEST_DATA_DIR) + "/perm9pt16.mtx"), p,
+      500);
+  expectSpmvBitwiseSerial(blockLaplacian2d(12, 12, 4), p, 600);
 }
 
 TEST_P(DistP, GatherToRootReassemblesMatrix) {
@@ -316,6 +399,18 @@ TEST(Dist, SpmvIsAllocationFreeSingleRank) {
     g_countAllocs.store(true);
     for (int it = 0; it < 32; ++it) {
       dist.spmv(std::span<const double>(x), std::span<double>(y));
+    }
+    g_countAllocs.store(false);
+    EXPECT_EQ(g_allocCalls.load(), 0u);
+    EXPECT_EQ(g_allocBytes.load(), 0u);
+
+    // The float path builds its value mirror on the first call only.
+    const std::vector<float> xF(static_cast<std::size_t>(n), 1.0F);
+    std::vector<float> yF(static_cast<std::size_t>(n));
+    dist.spmvFloat(std::span<const float>(xF), std::span<float>(yF));  // warm
+    g_countAllocs.store(true);
+    for (int it = 0; it < 32; ++it) {
+      dist.spmvFloat(std::span<const float>(xF), std::span<float>(yF));
     }
     g_countAllocs.store(false);
     EXPECT_EQ(g_allocCalls.load(), 0u);
