@@ -4,15 +4,17 @@
 // Protocol per (matrix, procs, arm): one untimed warmup solve — for the
 // tuned arm this is where the one-off probe runs and the decision enters
 // the fingerprint cache; entries under the kAuto size gate stay on the
-// default config by design — then repeated solves of the SAME operator
+// default schedule by design — then repeated solves of the SAME operator
 // (kSameOperator replays), timed as one region.  Replay must be free: the
 // probe-measurement counter is sampled around the timed region and any
 // nonzero delta fails the run loudly.  Arms alternate order every rep so
 // warmup and host-speed drift hit both equally.
 //
 // The solver is PKSP CG + Jacobi (every zoo entry is SPD), whose iteration
-// cost is SpMV-dominated — the quantity the kernel/schedule decision can
-// actually move.  Results go to stdout and BENCH_autotune.json.
+// cost is SpMV-dominated.  Both arms run the one DistCsrMatrix SpMV path;
+// the tuner's only decision is the collective schedule family, which it
+// probes at p > 1.  The default arm's times are therefore also the zoo
+// record for that SpMV path.  Results go to stdout and BENCH_autotune.json.
 #include <cmath>
 #include <cstdio>
 #include <string>
@@ -215,8 +217,9 @@ int main() {
       "# PKSP CG+Jacobi, 3-40 replay solves per timed region (more for\n"
       "# small matrices), best of %d reps.  Probes run in an untimed\n"
       "# warmup solve; a probe inside the timed region marks the row\n"
-      "# PROBED-IN-TIMED-REGION and fails the run.  Entries under the\n"
-      "# kAuto size gate (%lld nnz) keep the default config by design.\n",
+      "# PROBED-IN-TIMED-REGION and fails the run.  The tuner picks only\n"
+      "# the collective schedule; entries under the kAuto size gate\n"
+      "# (%lld nnz) keep the default schedule by design.\n",
       reps, lisi::tune::kAutoMinGlobalNnz);
   std::printf("%-14s %-12s %6s %9s %12s %12s %9s\n", "matrix", "class",
               "procs", "nnz", "default(s)", "tuned(s)", "speedup");
@@ -237,9 +240,8 @@ int main() {
                 r.replayFree ? "" : "  PROBED-IN-TIMED-REGION");
   }
 
-  // Per-class geomean at p=4 — the headline number: the tuned decision must
-  // buy a real speedup on at least one class and cost (almost) nothing on
-  // the rest.
+  // Per-class geomean at p=4, where the schedule probe runs: a tuned
+  // schedule must never cost a class more than noise.
   std::printf("# geomean tuned speedup by class at procs=4:\n");
   for (const ZooEntry& z : zoo) {
     double logSum = 0.0;

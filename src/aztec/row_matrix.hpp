@@ -61,13 +61,6 @@ class CrsMatrix final : public RowMatrix {
   /// are reused untouched.  Purely local.
   void replaceValues(const lisi::sparse::CsrMatrix& localRows);
 
-  /// Forward a tuned local-kernel configuration (src/tune) to the wrapped
-  /// distributed operator so every apply() in the solve runs tuned.  Returns
-  /// the configuration actually applied (ineligible requests fall back).
-  lisi::sparse::SpmvConfig setSpmvConfig(const lisi::sparse::SpmvConfig& cfg) {
-    return dist_.setSpmvConfig(cfg);
-  }
-
  private:
   const Map* map_;
   lisi::sparse::DistCsrMatrix dist_;

@@ -688,11 +688,6 @@ const DistCsrMatrix& Solver::fineMatrix() const {
   return *impl_->levels.front().a;
 }
 
-lisi::sparse::SpmvConfig Solver::setFineSpmvConfig(
-    const lisi::sparse::SpmvConfig& cfg) {
-  return impl_->levels.front().a->setSpmvConfig(cfg);
-}
-
 int Solver::fineLocalRows() const {
   return impl_->levels.front().a->localRows();
 }

@@ -95,13 +95,6 @@ class Solver {
   [[nodiscard]] int gridN(int level) const;
   /// The level-0 (finest) operator.
   [[nodiscard]] const lisi::sparse::DistCsrMatrix& fineMatrix() const;
-  /// Forward a tuned local-kernel configuration (src/tune) to the finest
-  /// operator, where almost all hierarchy spmv time is spent.  Coarse
-  /// levels keep the default kernel: they are too small to profit and the
-  /// tuned decision was probed against the fine structure only.  Returns
-  /// the configuration actually applied.  Purely local.
-  lisi::sparse::SpmvConfig setFineSpmvConfig(
-      const lisi::sparse::SpmvConfig& cfg);
   /// This rank's share of the finest grid.
   [[nodiscard]] int fineLocalRows() const;
 

@@ -112,12 +112,6 @@ class AztecSolverPort final : public detail::SolverComponentBase {
       // The port pointer may change between solves even if "unchanged".
       rowMatrix_ = std::make_unique<MatrixFreeRowMatrix>(*map_, ctx.matrixFree);
     }
-    // CrsMatrix wraps its OWN DistCsrMatrix built from the local block, so
-    // the tuned kernel configuration on ctx.matrix does not carry over —
-    // forward it explicitly (cheap no-op when unchanged).
-    if (auto* tuned = dynamic_cast<CrsMatrix*>(rowMatrix_.get())) {
-      (void)tuned->setSpmvConfig(ctx.spmvConfig);
-    }
     return static_cast<int>(ErrorCode::kOk);
   }
 

@@ -67,10 +67,6 @@ class HymgSolverPort final : public detail::SolverComponentBase {
       const int rc = validateFineLevel(ctx);
       if (rc != 0) return rc;
     }
-    // HyMG rediscretizes its own fine-level DistCsrMatrix, so the tuned
-    // kernel configuration on ctx.matrix does not carry over — forward it
-    // to the finest level (cheap no-op when unchanged).
-    (void)mg_->setFineSpmvConfig(ctx.spmvConfig);
     // Mixed precision: float32 hierarchy/smoother/coarse-LU cycle inside a
     // float64 defect-correction outer loop (cheap no-op when unchanged;
     // collective agreement guaranteed by ctx.precision).

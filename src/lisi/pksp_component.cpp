@@ -115,8 +115,6 @@ class PkspSolverPort final : public detail::SolverComponentBase {
       } else if (ctx.change == detail::OperatorChange::kSameStructure) {
         ms = PKSP_SAME_NONZERO_PATTERN;
       }
-      // ctx.matrix is solver_base's distA_, which already carries the tuned
-      // kernel configuration (ctx.spmvConfig) — no forwarding needed here.
       KSPSetOperator(ksp_, ctx.matrix, ms);
     }
     return static_cast<int>(ErrorCode::kOk);

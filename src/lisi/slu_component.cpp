@@ -27,8 +27,6 @@ class SluSolverPort final : public detail::SolverComponentBase {
 
   int backendSolve(const detail::SolveContext& ctx, std::span<const double> b,
                    std::span<double> x, detail::BackendStats& stats) override {
-    // ctx.matrix already carries the tuned kernel configuration; the direct
-    // solve only reads the local block, so nothing to forward.
     const sparse::DistCsrMatrix& a = *ctx.matrix;
     const bool isRoot = ctx.comm->rank() == 0;
 

@@ -377,17 +377,15 @@ int SolverComponentBase::solve(RArray<double> solution, RArray<double> status,
       // Structure-fingerprint-keyed autotuning (DESIGN.md).  Replay is
       // free: once this structure epoch has been tuned under the current
       // mode, later solves skip even the cache lookup — no communication,
-      // no locks, just the already-applied configuration.
+      // no locks, just the already-pinned schedule.
       const tune::Mode tuneMode =
           tune::modeFromString(paramString("tune", ""), tune::modeFromEnv());
       if (tuneMode != tune::Mode::kOff) {
-        if (tunedStructEpoch_ == structEpoch_ && tunedMode_ == tuneMode &&
-            tunedPrec_ == ctx.precision) {
+        if (tunedStructEpoch_ == structEpoch_ && tunedMode_ == tuneMode) {
           tune::noteReplayHit();
         } else {
           tune::TuneInput in;
           in.comm = comm_;
-          in.matrix = &*distA_;
           in.mode = tuneMode;
           // One fused two-lane allreduce agrees on the operator key and on
           // its global weight (the kAuto size gate).
@@ -397,7 +395,7 @@ int SolverComponentBase::solve(RArray<double> solution, RArray<double> status,
           comm_.allreduce(std::span<const std::uint64_t>(lanes),
                           std::span<std::uint64_t>(sums),
                           comm::ReduceOp::kSum);
-          in.key = {sums[0], comm_.size(), static_cast<int>(ctx.precision)};
+          in.key = {sums[0], comm_.size()};
           in.globalNnz = static_cast<long long>(sums[1]);
           in.structureChanged = tunedStructEpoch_ != 0;
           in.retunesSoFar = tuneRetunes_;
@@ -406,9 +404,7 @@ int SolverComponentBase::solve(RArray<double> solution, RArray<double> status,
           if (d.probed && in.structureChanged) ++tuneRetunes_;
           tunedStructEpoch_ = structEpoch_;
           tunedMode_ = tuneMode;
-          tunedPrec_ = ctx.precision;
         }
-        ctx.spmvConfig = distA_->spmvConfig();
       }
     }
   } catch (const Error&) {

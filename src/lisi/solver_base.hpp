@@ -60,11 +60,6 @@ struct SolveContext {
   /// Operator relation to the previous backendSolve; identical on every
   /// rank (the structural fingerprint is agreed by allreduce).
   OperatorChange change = OperatorChange::kNewStructure;
-  /// Tuned local-kernel configuration (default when tuning is off).
-  /// ctx.matrix already carries it; backends that build their OWN
-  /// DistCsrMatrix from the local block (Aztec's CrsMatrix, HyMG's fine
-  /// level) forward it there so every spmv in the solve runs tuned.
-  sparse::SpmvConfig spmvConfig;
   /// Resolved precision mode for this solve (never kAuto: solver_base
   /// resolves "auto" against the global nnz before calling the backend).
   /// kMixed asks the backend to run its preconditioner/factor speed path in
@@ -209,11 +204,10 @@ class SolverComponentBase : public SparseSolver {
 
   /// Autotuner bookkeeping (src/tune): which structure epoch was last tuned
   /// under which mode — when both are current the solve replays the tuned
-  /// configuration with zero communication — and how many kNewStructure
+  /// schedule with zero communication — and how many kNewStructure
   /// retunes this component has spent against its budget.
   std::uint64_t tunedStructEpoch_ = 0;  ///< 0: never tuned
   tune::Mode tunedMode_ = tune::Mode::kOff;
-  prec::Mode tunedPrec_ = prec::Mode::kDouble;
   int tuneRetunes_ = 0;
 
   std::vector<double> rhs_;

@@ -326,99 +326,4 @@ CsrMatrix dropZeros(const CsrMatrix& csrIn, double tol) {
   return out;
 }
 
-SellCMatrix csrRowsToSellC(const CsrMatrix& csr,
-                           const std::vector<int>& rowList, int chunk,
-                           int sigma, std::vector<int>* srcIdx) {
-  csr.check();
-  LISI_CHECK(chunk >= 1, "csrRowsToSellC: chunk must be >= 1");
-  LISI_CHECK(sigma >= 1, "csrRowsToSellC: sigma must be >= 1");
-  const int n = static_cast<int>(rowList.size());
-  SellCMatrix sell;
-  sell.rows = csr.rows;
-  sell.cols = csr.cols;
-  sell.chunk = chunk;
-  sell.sigma = sigma;
-  const int nc = (n + chunk - 1) / chunk;
-
-  // Stable-sort each sigma window by descending row length so chunk-mates
-  // have similar lengths (less padding); equal lengths keep list order.
-  std::vector<int> order(rowList.begin(), rowList.end());
-  const auto rowLenOf = [&](int r) {
-    return csr.rowPtr[static_cast<std::size_t>(r) + 1] -
-           csr.rowPtr[static_cast<std::size_t>(r)];
-  };
-  for (int w = 0; w < n; w += sigma) {
-    const int end = std::min(n, w + sigma);
-    std::stable_sort(order.begin() + w, order.begin() + end,
-                     [&](int a, int b) { return rowLenOf(a) > rowLenOf(b); });
-  }
-
-  sell.chunkPtr.assign(static_cast<std::size_t>(nc) + 1, 0);
-  sell.rowIds.assign(static_cast<std::size_t>(nc) * chunk, -1);
-  sell.rowLen.assign(static_cast<std::size_t>(nc) * chunk, 0);
-  for (int c = 0; c < nc; ++c) {
-    int width = 0;
-    for (int j = 0; j < chunk; ++j) {
-      const int i = c * chunk + j;
-      if (i >= n) break;
-      const int r = order[static_cast<std::size_t>(i)];
-      sell.rowIds[static_cast<std::size_t>(i)] = r;
-      sell.rowLen[static_cast<std::size_t>(i)] = rowLenOf(r);
-      width = std::max(width, rowLenOf(r));
-    }
-    sell.chunkPtr[static_cast<std::size_t>(c) + 1] =
-        sell.chunkPtr[static_cast<std::size_t>(c)] + width * chunk;
-  }
-
-  const std::size_t padded = static_cast<std::size_t>(sell.paddedSize());
-  sell.colIdx.assign(padded, 0);
-  sell.values.assign(padded, 0.0);
-  if (srcIdx != nullptr) srcIdx->assign(padded, -1);
-  for (int c = 0; c < nc; ++c) {
-    const int begin = sell.chunkPtr[static_cast<std::size_t>(c)];
-    for (int j = 0; j < chunk && c * chunk + j < n; ++j) {
-      const std::size_t lane = static_cast<std::size_t>(c) * chunk + j;
-      const int r = sell.rowIds[lane];
-      const int start = csr.rowPtr[static_cast<std::size_t>(r)];
-      for (int k = 0; k < sell.rowLen[lane]; ++k) {
-        const std::size_t slot =
-            static_cast<std::size_t>(begin + k * chunk + j);
-        sell.colIdx[slot] = csr.colIdx[static_cast<std::size_t>(start + k)];
-        sell.values[slot] = csr.values[static_cast<std::size_t>(start + k)];
-        if (srcIdx != nullptr) (*srcIdx)[slot] = start + k;
-      }
-    }
-  }
-  return sell;
-}
-
-SellCMatrix csrToSellC(const CsrMatrix& csr, int chunk, int sigma,
-                       std::vector<int>* srcIdx) {
-  std::vector<int> allRows(static_cast<std::size_t>(csr.rows));
-  for (int i = 0; i < csr.rows; ++i) allRows[static_cast<std::size_t>(i)] = i;
-  return csrRowsToSellC(csr, allRows, chunk, sigma, srcIdx);
-}
-
-CsrMatrix sellCToCsr(const SellCMatrix& sell) {
-  sell.check();
-  CooMatrix coo;
-  coo.rows = sell.rows;
-  coo.cols = sell.cols;
-  for (int c = 0; c < sell.numChunks(); ++c) {
-    const int begin = sell.chunkPtr[static_cast<std::size_t>(c)];
-    for (int j = 0; j < sell.chunk; ++j) {
-      const std::size_t lane = static_cast<std::size_t>(c) * sell.chunk + j;
-      const int r = sell.rowIds[lane];
-      for (int k = 0; k < sell.rowLen[lane]; ++k) {
-        const std::size_t slot =
-            static_cast<std::size_t>(begin + k * sell.chunk + j);
-        coo.rowIdx.push_back(r);
-        coo.colIdx.push_back(sell.colIdx[slot]);
-        coo.values.push_back(sell.values[slot]);
-      }
-    }
-  }
-  return cooToCsr(coo);
-}
-
 }  // namespace lisi::sparse

@@ -49,25 +49,4 @@ namespace lisi::sparse {
 /// Drop explicit zeros from a CSR matrix.
 [[nodiscard]] CsrMatrix dropZeros(const CsrMatrix& csr, double tol = 0.0);
 
-/// Convert canonical CSR to SELL-C-σ.  Within each σ-window rows are sorted
-/// by descending length (stable, so equal-length rows keep CSR order); each
-/// chunk is padded to its widest lane.  `srcIdx`, when non-null, receives
-/// one entry per SELL slot: the CSR value index the slot mirrors, or -1 for
-/// padding — the map a value-only refresh replays without rebuilding.
-[[nodiscard]] SellCMatrix csrToSellC(const CsrMatrix& csr, int chunk,
-                                     int sigma,
-                                     std::vector<int>* srcIdx = nullptr);
-
-/// SELL-C-σ over a subset of CSR rows (`rowList`, e.g. a halo plan's
-/// interior or boundary rows).  Lane row ids refer to the original CSR row
-/// numbers; rows not listed are simply absent.  srcIdx as in csrToSellC.
-[[nodiscard]] SellCMatrix csrRowsToSellC(const CsrMatrix& csr,
-                                         const std::vector<int>& rowList,
-                                         int chunk, int sigma,
-                                         std::vector<int>* srcIdx = nullptr);
-
-/// Flatten SELL-C-σ back to canonical CSR (padding slots dropped).  When
-/// the SELL matrix covers a row subset, absent rows come back empty.
-[[nodiscard]] CsrMatrix sellCToCsr(const SellCMatrix& sell);
-
 }  // namespace lisi::sparse

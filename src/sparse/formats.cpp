@@ -191,59 +191,11 @@ void VbrMatrixT<V>::check() const {
   }
 }
 
-template <class V>
-void SellCMatrixT<V>::check() const {
-  LISI_CHECK(rows >= 0 && cols >= 0, "SELL: negative dimensions");
-  LISI_CHECK(chunk >= 1, "SELL: chunk must be >= 1");
-  LISI_CHECK(sigma >= 1, "SELL: sigma must be >= 1");
-  const int nc = numChunks();
-  LISI_CHECK(nc * chunk >= rows, "SELL: chunks do not cover all rows");
-  LISI_CHECK(rowIds.size() == static_cast<std::size_t>(nc) * chunk,
-             "SELL: rowIds length != numChunks*chunk");
-  LISI_CHECK(rowLen.size() == rowIds.size(),
-             "SELL: rowLen length != rowIds length");
-  LISI_CHECK(chunkPtr.empty() || chunkPtr[0] == 0, "SELL: chunkPtr[0] != 0");
-  LISI_CHECK(colIdx.size() == static_cast<std::size_t>(paddedSize()),
-             "SELL: colIdx length != chunkPtr end");
-  LISI_CHECK(values.size() == colIdx.size(),
-             "SELL: values length != colIdx length");
-  std::vector<char> seen(static_cast<std::size_t>(rows), 0);
-  for (int c = 0; c < nc; ++c) {
-    const int begin = chunkPtr[static_cast<std::size_t>(c)];
-    const int end = chunkPtr[static_cast<std::size_t>(c) + 1];
-    LISI_CHECK(begin <= end && (end - begin) % chunk == 0,
-               "SELL: chunk extent not a multiple of chunk size");
-    const int width = (end - begin) / chunk;
-    for (int j = 0; j < chunk; ++j) {
-      const std::size_t lane = static_cast<std::size_t>(c) * chunk + j;
-      const int row = rowIds[lane];
-      const int len = rowLen[lane];
-      if (row < 0) {  // padding lane past the last row
-        LISI_CHECK(len == 0, "SELL: padding lane with entries");
-        continue;
-      }
-      LISI_CHECK(row < rows, "SELL: row id out of range");
-      LISI_CHECK(!seen[static_cast<std::size_t>(row)],
-                 "SELL: row stored in two lanes");
-      seen[static_cast<std::size_t>(row)] = 1;
-      LISI_CHECK(len >= 0 && len <= width, "SELL: lane longer than chunk width");
-      for (int k = 0; k < len; ++k) {
-        const int col = colIdx[static_cast<std::size_t>(begin + k * chunk + j)];
-        LISI_CHECK(col >= 0 && col < cols, "SELL: column index out of range");
-      }
-    }
-  }
-  // Note: not every row in [0, rows) need appear — csrRowsToSellC builds
-  // SELL storage over a row subset (e.g. a halo plan's boundary rows).
-}
-
 template struct CsrMatrixT<double>;
 template struct CsrMatrixT<float>;
 template struct CscMatrixT<double>;
 template struct CscMatrixT<float>;
 template struct VbrMatrixT<double>;
 template struct VbrMatrixT<float>;
-template struct SellCMatrixT<double>;
-template struct SellCMatrixT<float>;
 
 }  // namespace lisi::sparse

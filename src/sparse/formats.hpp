@@ -139,42 +139,6 @@ struct VbrMatrixT {
 using VbrMatrix = VbrMatrixT<double>;
 using VbrMatrixF = VbrMatrixT<float>;
 
-/// Sliced ELLPACK (SELL-C-σ).  Rows are grouped into chunks of `chunk`
-/// consecutive slots; within each sorting window of `sigma` rows the rows
-/// are ordered by descending length so chunk-mates have similar lengths.
-/// Each chunk stores its entries column-major, padded to the chunk's widest
-/// row:
-///   slot (c, j, k) for chunk c, lane j, entry k lives at
-///   chunkPtr[c] + k*chunk + j.
-/// Padding slots carry colIdx 0 / value 0 and are never dereferenced by the
-/// kernel (it bounds each lane by rowLen).  `rowIds[c*chunk + j]` is the
-/// original row stored in lane j of chunk c, so kernels scatter results
-/// back without a separate permutation pass.  This is internal tuned
-/// storage, not a setupMatrix input format — SparseStruct is unchanged.
-template <class V>
-struct SellCMatrixT {
-  int rows = 0;             ///< logical rows (before chunk padding)
-  int cols = 0;
-  int chunk = 0;            ///< C: rows per chunk (slot count, >= 1)
-  int sigma = 0;            ///< σ: sorting-window size used at build time
-  std::vector<int> chunkPtr;  ///< size numChunks+1, offsets into colIdx/values
-  std::vector<int> rowIds;    ///< size numChunks*chunk, original row per lane
-  std::vector<int> rowLen;    ///< size numChunks*chunk, entries per lane
-  std::vector<int> colIdx;    ///< padded column-major chunk storage
-  std::vector<V> values;
-
-  [[nodiscard]] int numChunks() const {
-    return chunkPtr.empty() ? 0 : static_cast<int>(chunkPtr.size()) - 1;
-  }
-  /// Stored slots including padding (colIdx/values length).
-  [[nodiscard]] int paddedSize() const {
-    return chunkPtr.empty() ? 0 : chunkPtr.back();
-  }
-  void check() const;
-};
-using SellCMatrix = SellCMatrixT<double>;
-using SellCMatrixF = SellCMatrixT<float>;
-
 // The templated member functions are defined in formats.cpp and explicitly
 // instantiated for double and float — the only scalars the kernels use.
 extern template struct CsrMatrixT<double>;
@@ -183,7 +147,5 @@ extern template struct CscMatrixT<double>;
 extern template struct CscMatrixT<float>;
 extern template struct VbrMatrixT<double>;
 extern template struct VbrMatrixT<float>;
-extern template struct SellCMatrixT<double>;
-extern template struct SellCMatrixT<float>;
 
 }  // namespace lisi::sparse

@@ -31,33 +31,6 @@ void spmvCsrImpl(const CsrMatrixT<V>& a, std::span<const V> x,
 }
 
 template <class V>
-void spmvSellImpl(const SellCMatrixT<V>& a, std::span<const V> x,
-                  std::span<V> y) {
-  LISI_CHECK(static_cast<int>(x.size()) == a.cols,
-             "spmv(SELL): x size mismatch");
-  LISI_CHECK(static_cast<int>(y.size()) == a.rows,
-             "spmv(SELL): y size mismatch");
-  const int chunk = a.chunk;
-  for (int c = 0; c < a.numChunks(); ++c) {
-    const int begin = a.chunkPtr[static_cast<std::size_t>(c)];
-    for (int j = 0; j < chunk; ++j) {
-      const std::size_t lane = static_cast<std::size_t>(c) * chunk + j;
-      const int r = a.rowIds[lane];
-      if (r < 0) continue;
-      // Bounding by rowLen (not chunk width) keeps padding slots out of the
-      // sum entirely — even +0.0 terms would flip signed zeros.
-      V acc = V(0);
-      for (int k = 0; k < a.rowLen[lane]; ++k) {
-        const std::size_t slot = static_cast<std::size_t>(begin + k * chunk + j);
-        acc += a.values[slot] *
-               x[static_cast<std::size_t>(a.colIdx[slot])];
-      }
-      y[static_cast<std::size_t>(r)] = acc;
-    }
-  }
-}
-
-template <class V>
 void spmvVbrImpl(const VbrMatrixT<V>& a, std::span<const V> x,
                  std::span<V> y) {
   LISI_CHECK(static_cast<int>(x.size()) == a.cols(), "spmv(VBR): x size mismatch");
@@ -154,16 +127,6 @@ void spmv(const VbrMatrix& a, std::span<const double> x, std::span<double> y) {
 
 void spmv(const VbrMatrixF& a, std::span<const float> x, std::span<float> y) {
   spmvVbrImpl<float>(a, x, y);
-}
-
-void spmv(const SellCMatrix& a, std::span<const double> x,
-          std::span<double> y) {
-  spmvSellImpl<double>(a, x, y);
-}
-
-void spmv(const SellCMatrixF& a, std::span<const float> x,
-          std::span<float> y) {
-  spmvSellImpl<float>(a, x, y);
 }
 
 CsrMatrix transpose(const CsrMatrix& a) {

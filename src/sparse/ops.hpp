@@ -35,14 +35,6 @@ void spmv(const MsrMatrix& a, std::span<const double> x, std::span<double> y);
 void spmv(const VbrMatrix& a, std::span<const double> x, std::span<double> y);
 void spmv(const VbrMatrixF& a, std::span<const float> x, std::span<float> y);
 
-/// y = A*x for SELL-C-σ.  Each lane accumulates its entries in stored (CSR)
-/// order, so the result is bitwise-identical to spmv on the source CSR.
-/// Rows without a lane (subset builds) are left untouched in y.
-void spmv(const SellCMatrix& a, std::span<const double> x,
-          std::span<double> y);
-void spmv(const SellCMatrixF& a, std::span<const float> x,
-          std::span<float> y);
-
 /// Explicit transpose of a CSR matrix (canonical output).
 [[nodiscard]] CsrMatrix transpose(const CsrMatrix& a);
 

@@ -8,10 +8,8 @@
 #include <map>
 #include <mutex>
 
-#include "support/thread_annotations.hpp"
-#include <vector>
-
 #include "obs/obs.hpp"
+#include "support/thread_annotations.hpp"
 #include "support/timer.hpp"
 
 namespace lisi::tune {
@@ -40,89 +38,17 @@ std::map<OperatorKey, Decision>& cache() LISI_REQUIRES(g_cacheMutex) {
   return c;
 }
 
-// Probe shape: best-of-kProbeReps per rank (min filters scheduler noise on
+// Schedule probe: kScheduleBlocks blocks of kScheduleReps allreduces per
+// family, best block kept (the minimum filters scheduler noise on
 // oversubscribed hosts), then a max-reduction picks the slowest rank — the
 // one that gates the solve.
-constexpr int kProbeReps = 3;
-// Schedule probe: kScheduleBlocks blocks of kScheduleReps allreduces per
-// family, best block kept — the same min-filters-noise discipline as the
-// spmv probe, which matters doubly for collectives on oversubscribed hosts.
 constexpr int kScheduleReps = 8;
 constexpr int kScheduleBlocks = 4;
-// A challenger must beat the default configuration by this margin before
-// the tuner deviates from it.  Probes are short; without a deadband a few
-// percent of scheduler noise could pin a genuinely slower configuration,
-// and the default must stay the safe answer ("tuned never worse").
+// A challenger must beat the default family by this margin before the
+// tuner deviates from it.  Probes are short; without a deadband a few
+// percent of scheduler noise could pin a genuinely slower family, and the
+// default must stay the safe answer ("tuned never worse").
 constexpr double kMinGain = 0.05;
-
-std::vector<double> probeVector(int n) {
-  std::vector<double> x(static_cast<std::size_t>(n));
-  for (int i = 0; i < n; ++i) {
-    x[static_cast<std::size_t>(i)] = 1.0 + 0.0625 * static_cast<double>(i % 13);
-  }
-  return x;
-}
-
-/// Time one configuration: warm once, then best-of-reps, slowest rank.
-double timeSpmvConfig(const TuneInput& in, std::span<const double> x,
-                      std::span<double> y) {
-  in.matrix->spmv(x, y);  // warm the aux storage and caches
-  in.comm.barrier();
-  double best = std::numeric_limits<double>::infinity();
-  for (int rep = 0; rep < kProbeReps; ++rep) {
-    WallTimer timer;
-    in.matrix->spmv(x, y);
-    best = std::min(best, timer.seconds());
-  }
-  g_stats.probeMeasurements.fetch_add(kProbeReps, std::memory_order_relaxed);
-  obs::count("tune.probe_measurements", kProbeReps);
-  return in.comm.allreduceValue(best, comm::ReduceOp::kMax);
-}
-
-/// Measure the candidate kernels and pick the winner (ties keep the earlier
-/// candidate, and the default config is listed first, so "no change" wins
-/// unless a challenger is strictly faster).
-sparse::SpmvConfig probeSpmv(const TuneInput& in) {
-  using sparse::LocalKernel;
-  std::vector<sparse::SpmvConfig> candidates = {
-      {LocalKernel::kCsr, /*overlapHalo=*/true, 0},
-      {LocalKernel::kCsr, /*overlapHalo=*/false, 0},
-      {LocalKernel::kCsrPrefetch, /*overlapHalo=*/true, 0},
-      {LocalKernel::kSellC, /*overlapHalo=*/true, 0},
-  };
-  for (const int bs : {4, 2}) {
-    // All ranks must run the block kernel or none: a per-rank fallback
-    // would make the cached decision ambiguous.
-    const int eligLocal = in.matrix->blockKernelEligible(bs) ? 1 : 0;
-    if (in.comm.allreduceValue(eligLocal, comm::ReduceOp::kMin) == 1) {
-      candidates.push_back({LocalKernel::kBlock, /*overlapHalo=*/false, bs});
-      break;
-    }
-  }
-
-  const std::vector<double> x = probeVector(in.matrix->localCols());
-  std::vector<double> y(static_cast<std::size_t>(in.matrix->localRows()));
-  // The default is measured first and challengers must clear the kMinGain
-  // deadband against it; among those that do, the fastest wins.
-  sparse::SpmvConfig winner = candidates.front();
-  double defaultTime = std::numeric_limits<double>::infinity();
-  double winnerTime = std::numeric_limits<double>::infinity();
-  for (std::size_t ci = 0; ci < candidates.size(); ++ci) {
-    const sparse::SpmvConfig& cand = candidates[ci];
-    const sparse::SpmvConfig applied = in.matrix->setSpmvConfig(cand);
-    if (!(applied == cand)) continue;  // local fallback: skip, do not time
-    const double t = timeSpmvConfig(in, x, y);
-    if (ci == 0) {
-      defaultTime = t;
-      winnerTime = t;
-    } else if (t < defaultTime * (1.0 - kMinGain) && t < winnerTime) {
-      winnerTime = t;
-      winner = cand;
-    }
-  }
-  in.matrix->setSpmvConfig(winner);
-  return winner;
-}
 
 /// Measure the collective schedule families on the solve's dot/allreduce
 /// pattern and pin the winner for this communicator context.
@@ -167,11 +93,10 @@ comm::CollectiveSchedule probeSchedule(const TuneInput& in) {
   return winner;
 }
 
-/// Apply a cached decision: kernel config locally, schedule pin only if it
-/// differs from the current pin (the pin is shared world state, so every
-/// rank reads the same value and takes the same branch).
+/// Apply a cached decision: pin the schedule only if it differs from the
+/// current pin (the pin is shared world state, so every rank reads the same
+/// value and takes the same branch).
 void applyDecision(const TuneInput& in, const Decision& d) {
-  (void)in.matrix->setSpmvConfig(d.spmv);
   if (d.schedule != comm::CollectiveSchedule::kAuto &&
       in.comm.pinnedCollectiveSchedule() != d.schedule) {
     in.comm.pinCollectiveSchedule(d.schedule);
@@ -241,12 +166,11 @@ void noteReplayHit() {
 }
 
 Decision tuneOperator(const TuneInput& in) {
-  LISI_CHECK(in.matrix != nullptr, "tuneOperator: no matrix");
   LISI_CHECK(in.mode != Mode::kOff, "tuneOperator: called with tuning off");
 
   if (in.mode == Mode::kAuto && in.globalNnz < kAutoMinGlobalNnz) {
     // Too small for the decision to matter: the probe itself would cost
-    // more than it could ever recoup.  Leave the default config in place.
+    // more than it could ever recoup.  Leave the default schedule in place.
     g_stats.autoSkips.fetch_add(1, std::memory_order_relaxed);
     obs::count("tune.auto_skip");
     return Decision{};
@@ -278,13 +202,11 @@ Decision tuneOperator(const TuneInput& in) {
 
   if (in.structureChanged && in.retunesSoFar >= in.retuneBudget) {
     // Budget exhausted: keep the component responsive by running the new
-    // structure on the default config instead of stalling the time loop on
+    // structure on the current schedule instead of stalling the time loop on
     // yet another probe.  Not cached — the structure was never measured.
     g_stats.budgetSkips.fetch_add(1, std::memory_order_relaxed);
     obs::count("tune.budget_skip");
-    Decision d;
-    applyDecision(in, d);
-    return d;
+    return Decision{};
   }
   if (in.structureChanged) {
     g_stats.retunes.fetch_add(1, std::memory_order_relaxed);
@@ -293,7 +215,6 @@ Decision tuneOperator(const TuneInput& in) {
 
   obs::Span span("tune.probe", static_cast<std::uint64_t>(in.globalNnz));
   Decision d;
-  d.spmv = probeSpmv(in);
   d.schedule = probeSchedule(in);
   d.probed = true;
   {
