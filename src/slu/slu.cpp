@@ -1,11 +1,36 @@
-// SLU factorization core: Gilbert-Peierls left-looking sparse LU with
-// threshold partial pivoting (the algorithm at the heart of SuperLU,
-// without supernodes) and the column-oriented triangular solves.
+// SLU factorization core: left-looking sparse LU with threshold partial
+// pivoting (the algorithm at the heart of SuperLU, without supernodes) and
+// the column-oriented triangular solves.
+//
+// Storage.  Both factors are kept as runs of consecutive rows: column k of
+// L (or U) is a short list of (first row, value offset) pairs whose values
+// are contiguous, so every update is a dense axpy over one run.  Rows are
+// numbered in pivot coordinates.  While factorize() runs, L's rows are in
+// ordering coordinates instead (row r is relabelled qinv[r], its position
+// in the column ordering), so a banded ordering such as RCM gives each L
+// column one run; they are renumbered to pivot coordinates at the end
+// (identity when no pivot left the diagonal).
+//
+// Update order.  Column j is eliminated by a frontier, not a depth-first
+// reach: word bitsets record which rows are touched, pivoted and queued,
+// and the queued pivot positions are popped in ascending order.  That is a
+// valid topological order — L column k only reaches rows pivoted after k —
+// and it is the order refactorize() replays (ascending U row), so
+// factorize(A) and refactorize(A) perform the same floating-point
+// operations in the same sequence and yield bitwise identical factors.
+//
+// Pivot rule.  Threshold partial pivoting with diagonal preference: the
+// largest-magnitude candidate wins unless the diagonal is nonzero and
+// within diagPivotThresh of it; among candidates of equal magnitude the
+// one with the lowest ordering coordinate wins.  Exact zeros are dropped
+// from both factors.
 #include "slu/slu.hpp"
 
 #include <algorithm>
 #include <atomic>
+#include <bit>
 #include <cmath>
+#include <cstdint>
 #include <limits>
 
 #include "obs/obs.hpp"
@@ -24,6 +49,77 @@ namespace {
 // the writer ranks joined.
 std::atomic<long long> gSymbolicFactorizations{0};
 std::atomic<long long> gNumericRefactorizations{0};
+
+/// Columns of a triangular factor as runs of consecutive rows.  Column k
+/// owns runs [ptr[k], ptr[k+1]); run t covers rows [start[t], start[t] +
+/// off[t+1] - off[t]) with values val[off[t] ...].  `off` carries one
+/// sentinel past the last run (off.back() == val.size()).
+struct RunColumns {
+  std::vector<int> ptr{0}, start, off{0};
+  std::vector<double> val;
+
+  /// Append (row, v) to the column being built.
+  void append(int row, double v) {
+    val.push_back(v);
+    place(row, static_cast<int>(val.size()));
+  }
+  /// The column's values now end at `end`, the last one in `row`: extends
+  /// the column's last run when `row` follows it directly, else opens one.
+  void place(int row, int end) {
+    const bool extends =
+        start.size() > static_cast<std::size_t>(ptr.back()) &&
+        start.back() + (off.back() - off[off.size() - 2]) == row;
+    if (extends) {
+      off.back() = end;
+    } else {
+      start.push_back(row);
+      off.push_back(end);
+    }
+  }
+  void endColumn() { ptr.push_back(static_cast<int>(start.size())); }
+};
+
+/// Calls fn(firstRow, valueOffset, length) for each run of column k.
+template <class F>
+void forRuns(const RunColumns& c, int k, F&& fn) {
+  for (int t = c.ptr[static_cast<std::size_t>(k)];
+       t < c.ptr[static_cast<std::size_t>(k) + 1]; ++t) {
+    const auto o = static_cast<std::size_t>(t);
+    fn(c.start[o], c.off[o], c.off[o + 1] - c.off[o]);
+  }
+}
+
+/// x[s, s+len) -= alpha * v[0, len): the one update every kernel applies.
+template <class V>
+inline void axpyRun(V* __restrict x, const V* __restrict v, int len,
+                    V alpha) {
+  for (int i = 0; i < len; ++i) x[i] -= alpha * v[i];
+}
+
+using Word = std::uint64_t;
+constexpr int kWordBits = 64;
+
+/// Calls fn(wordIndex, mask) for each bitset word overlapping [s, s+len).
+template <class F>
+void forRangeWords(int s, int len, F&& fn) {
+  const int e = s + len;
+  for (int w = s / kWordBits; w * kWordBits < e; ++w) {
+    const int lo = std::max(s - w * kWordBits, 0);
+    const int hi = std::min(e - w * kWordBits, kWordBits);
+    const Word top = hi == kWordBits ? ~Word{0} : (Word{1} << hi) - 1;
+    fn(w, top & ~((Word{1} << lo) - 1));
+  }
+}
+
+/// Calls fn(bit) for each set bit of `m`, ascending; `base` is the word's
+/// first index.
+template <class F>
+inline void forBits(Word m, int base, F&& fn) {
+  while (m != 0) {
+    fn(base + std::countr_zero(m));
+    m &= m - 1;
+  }
+}
 }  // namespace
 
 long long symbolicFactorizations() {
@@ -34,7 +130,7 @@ long long numericRefactorizations() {
   return gNumericRefactorizations.load(std::memory_order_relaxed);
 }
 
-/// Flattened column-compressed triangular factors in pivot coordinates.
+/// Flattened run-stored triangular factors in pivot coordinates.
 struct Factorization::Impl {
   int n = 0;
   Options options;
@@ -48,14 +144,8 @@ struct Factorization::Impl {
   // wrong factorization.
   std::vector<int> aColPtr, aRowIdx;
 
-  // L: unit lower triangular, off-diagonal entries only, by column.
-  std::vector<int> lPtr, lRow;
-  std::vector<double> lVal;
-  // U: strictly upper entries by column plus the diagonal.  Each column's
-  // entries are sorted by row, which doubles as the topological order the
-  // numeric-only refactorization replays the left-looking updates in.
-  std::vector<int> uPtr, uRow;
-  std::vector<double> uVal;
+  RunColumns l;  ///< unit lower triangular, off-diagonal entries only
+  RunColumns u;  ///< strictly upper entries; runs ascend by row
   std::vector<double> uDiag;
 
   // Options::lowPrecision float32 mirrors of the factor values.  The double
@@ -64,18 +154,58 @@ struct Factorization::Impl {
   // each solve moves half the factor-value bytes.  Empty in double mode.
   std::vector<float> lValF, uValF, uDiagF;
 
+  /// Dense work column: factorize() sizes it and uses it by row,
+  /// refactorize() by pivot position; all zero between calls.
+  std::vector<double> work;
+
+  /// Allocates on first use only: refactorize() keeps the sizes.
   void mirrorFactorsToFloat() {
-    lValF.assign(lVal.begin(), lVal.end());
-    uValF.assign(uVal.begin(), uVal.end());
+    lValF.assign(l.val.begin(), l.val.end());
+    uValF.assign(u.val.begin(), u.val.end());
     uDiagF.assign(uDiag.begin(), uDiag.end());
   }
 
   /// Factor-value bytes one triangular-solve pass reads (L + U + diagonal).
   [[nodiscard]] long long factorValueCount() const {
-    return static_cast<long long>(lVal.size()) +
-           static_cast<long long>(uVal.size()) +
+    return static_cast<long long>(l.val.size()) +
+           static_cast<long long>(u.val.size()) +
            static_cast<long long>(uDiag.size());
   }
+
+  /// Row equilibration factors of `a` (1 / max|row|) into rowScale.
+  void computeRowScale(const CscMatrix& a) {
+    std::fill(rowScale.begin(), rowScale.end(), 0.0);
+    for (std::size_t k = 0; k < a.values.size(); ++k) {
+      auto& s = rowScale[static_cast<std::size_t>(a.rowIdx[k])];
+      s = std::max(s, std::abs(a.values[k]));
+    }
+    for (double& s : rowScale) {
+      LISI_CHECK(s != 0.0, "SLU: structurally zero row");
+      s = 1.0 / s;
+    }
+  }
+
+  [[nodiscard]] double scaleOf(int r) const {
+    return rowScale.empty() ? 1.0 : rowScale[static_cast<std::size_t>(r)];
+  }
+
+  /// Pivot growth max|U| / max|D A|.
+  void computePivotGrowth(const CscMatrix& a) {
+    double maxA = 0.0;
+    for (std::size_t k = 0; k < a.values.size(); ++k) {
+      maxA = std::max(maxA, std::abs(a.values[k] * scaleOf(a.rowIdx[k])));
+    }
+    double maxU = 0.0;
+    for (double v : uDiag) maxU = std::max(maxU, std::abs(v));
+    for (double v : u.val) maxU = std::max(maxU, std::abs(v));
+    stats.pivotGrowth = maxA > 0.0 ? maxU / maxA : 0.0;
+  }
+
+  int replay(const CscMatrix& a);
+  template <class V>
+  void solveColumns(const V* lVal, const V* uVal, const V* uDiagV,
+                    std::span<const double> b, std::span<double> x,
+                    int numRhs) const;
 };
 
 Factorization::Factorization() : impl_(new Impl) {}
@@ -86,79 +216,12 @@ Factorization& Factorization::operator=(Factorization&&) noexcept = default;
 const Stats& Factorization::stats() const { return impl_->stats; }
 int Factorization::order() const { return impl_->n; }
 
-namespace {
-
-/// Depth-first reach computation for one column (Gilbert-Peierls).
-/// Nodes are original row indices; a node with pinv[r] >= 0 has children:
-/// the row patterns of L column pinv[r].  Emits reached nodes in reverse
-/// topological order into `topo` (so numeric updates can run front-to-back
-/// after a reverse).
-class Reach {
- public:
-  explicit Reach(int n)
-      : visited_(static_cast<std::size_t>(n), 0), stamp_(0) {}
-
-  void begin() {
-    ++stamp_;
-    topo_.clear();
-  }
-
-  void dfs(int root, const std::vector<int>& pinv,
-           const std::vector<std::vector<std::pair<int, double>>>& lCols) {
-    if (visited_[static_cast<std::size_t>(root)] == stamp_) return;
-    stack_.clear();
-    stack_.push_back({root, 0});
-    visited_[static_cast<std::size_t>(root)] = stamp_;
-    while (!stack_.empty()) {
-      auto& top = stack_.back();
-      const int r = top.node;
-      const int k = pinv[static_cast<std::size_t>(r)];
-      bool descended = false;
-      if (k >= 0) {
-        const auto& col = lCols[static_cast<std::size_t>(k)];
-        while (top.child < static_cast<int>(col.size())) {
-          const int next = col[static_cast<std::size_t>(top.child)].first;
-          ++top.child;
-          if (visited_[static_cast<std::size_t>(next)] != stamp_) {
-            visited_[static_cast<std::size_t>(next)] = stamp_;
-            stack_.push_back({next, 0});
-            descended = true;
-            break;
-          }
-        }
-      }
-      if (!descended && (k < 0 || top.child >= static_cast<int>(
-                                      lCols[static_cast<std::size_t>(k)].size()))) {
-        topo_.push_back(r);
-        stack_.pop_back();
-      }
-    }
-  }
-
-  /// Reached nodes, children-before-parents; reverse for update order.
-  [[nodiscard]] std::vector<int>& topo() { return topo_; }
-  [[nodiscard]] bool wasReached(int r) const {
-    return visited_[static_cast<std::size_t>(r)] == stamp_;
-  }
-
- private:
-  struct Frame {
-    int node;
-    int child;
-  };
-  std::vector<int> visited_;
-  int stamp_;
-  std::vector<Frame> stack_;
-  std::vector<int> topo_;
-};
-
-}  // namespace
-
 Factorization Factorization::factorize(const CscMatrix& a,
                                        const Options& options) {
   a.check();
   LISI_CHECK(a.rows == a.cols, "SLU: matrix must be square");
   const int n = a.cols;
+  const auto nz = static_cast<std::size_t>(n);
 
   gSymbolicFactorizations.fetch_add(1, std::memory_order_relaxed);
   lisi::obs::count("slu.factor.symbolic");
@@ -172,155 +235,202 @@ Factorization Factorization::factorize(const CscMatrix& a,
   f.aColPtr = a.colPtr;
   f.aRowIdx = a.rowIdx;
   f.q = computeOrdering(a, options.ordering);
-  f.pinv.assign(static_cast<std::size_t>(n), -1);
-
   if (options.equilibrate) {
-    f.rowScale.assign(static_cast<std::size_t>(n), 0.0);
-    for (std::size_t k = 0; k < a.values.size(); ++k) {
-      auto& s = f.rowScale[static_cast<std::size_t>(a.rowIdx[k])];
-      s = std::max(s, std::abs(a.values[k]));
-    }
-    for (double& s : f.rowScale) {
-      LISI_CHECK(s != 0.0, "SLU: structurally zero row");
-      s = 1.0 / s;
-    }
+    f.rowScale.resize(nz);
+    f.computeRowScale(a);
   }
 
-  // Working factors as per-column (row, value) lists; rows are ORIGINAL row
-  // indices during factorization and are renumbered to pivot positions at
-  // the end.
-  std::vector<std::vector<std::pair<int, double>>> lCols(
-      static_cast<std::size_t>(n));
-  std::vector<std::vector<std::pair<int, double>>> uCols(
-      static_cast<std::size_t>(n));
-  f.uDiag.assign(static_cast<std::size_t>(n), 0.0);
+  // Rows in ordering coordinates: c = qinv[r].  pivotOf[c] is the pivot
+  // position of row c (-1 until pivoted), rowAt its inverse.
+  std::vector<int> qinv(nz), pivotOf(nz, -1), rowAt(nz);
+  for (int j = 0; j < n; ++j) {
+    qinv[static_cast<std::size_t>(f.q[static_cast<std::size_t>(j)])] = j;
+  }
 
-  std::vector<double> x(static_cast<std::size_t>(n), 0.0);
-  Reach reach(n);
+  // touched/pivoted/queued are indexed by row, frontier by pivot position.
+  const std::size_t words = (nz + kWordBits - 1) / kWordBits;
+  std::vector<Word> touched(words, 0), pivoted(words, 0), queued(words, 0),
+      frontier(words, 0);
+  auto bit = [](int i) { return Word{1} << (i % kWordBits); };
+  auto test = [&](const std::vector<Word>& s, int i) {
+    return (s[static_cast<std::size_t>(i / kWordBits)] & bit(i)) != 0;
+  };
+
+  f.work.assign(nz, 0.0);
+  double* x = f.work.data();  // indexed by row here, left all zero
+  RunColumns l;  // rows in ordering coordinates until the end
+  RunColumns& u = f.u;
+  f.uDiag.assign(nz, 0.0);
 
   for (int j = 0; j < n; ++j) {
     const int col = f.q[static_cast<std::size_t>(j)];
-    // Symbolic step: reach of the column's pattern through finished L cols.
-    reach.begin();
-    for (int k = a.colPtr[static_cast<std::size_t>(col)];
-         k < a.colPtr[static_cast<std::size_t>(col) + 1]; ++k) {
-      reach.dfs(a.rowIdx[static_cast<std::size_t>(k)], f.pinv, lCols);
+    // Word windows [lo, hi] of the touched rows and queued positions.
+    int tLo = static_cast<int>(words), tHi = -1;
+    int fLo = static_cast<int>(words), fHi = -1;
+    auto enqueue = [&](int c) {
+      queued[static_cast<std::size_t>(c / kWordBits)] |= bit(c);
+      const int k = pivotOf[static_cast<std::size_t>(c)];
+      frontier[static_cast<std::size_t>(k / kWordBits)] |= bit(k);
+      fLo = std::min(fLo, k / kWordBits);
+      fHi = std::max(fHi, k / kWordBits);
+    };
+
+    // Scatter the column of A.
+    for (int t = a.colPtr[static_cast<std::size_t>(col)];
+         t < a.colPtr[static_cast<std::size_t>(col) + 1]; ++t) {
+      const int r = a.rowIdx[static_cast<std::size_t>(t)];
+      const int c = qinv[static_cast<std::size_t>(r)];
+      x[c] += a.values[static_cast<std::size_t>(t)] * f.scaleOf(r);
+      touched[static_cast<std::size_t>(c / kWordBits)] |= bit(c);
+      tLo = std::min(tLo, c / kWordBits);
+      tHi = std::max(tHi, c / kWordBits);
+      if (test(pivoted, c) && !test(queued, c)) enqueue(c);
     }
-    auto& topo = reach.topo();
-    // Scatter the column of A (after symbolic, so fill positions stay 0).
-    for (int k = a.colPtr[static_cast<std::size_t>(col)];
-         k < a.colPtr[static_cast<std::size_t>(col) + 1]; ++k) {
-      const int r = a.rowIdx[static_cast<std::size_t>(k)];
-      const double scale =
-          f.rowScale.empty() ? 1.0 : f.rowScale[static_cast<std::size_t>(r)];
-      x[static_cast<std::size_t>(r)] += a.values[static_cast<std::size_t>(k)] * scale;
-    }
-    // Numeric updates in topological order (parents after children in topo_,
-    // so walk it back to front).
-    for (auto it = topo.rbegin(); it != topo.rend(); ++it) {
-      const int r = *it;
-      const int k = f.pinv[static_cast<std::size_t>(r)];
-      if (k < 0) continue;
-      const double xr = x[static_cast<std::size_t>(r)];
-      if (xr == 0.0) continue;
-      for (const auto& [rr, lv] : lCols[static_cast<std::size_t>(k)]) {
-        x[static_cast<std::size_t>(rr)] -= xr * lv;
+
+    // Left-looking updates, popping queued pivot positions in ascending
+    // order.  A popped column only queues rows pivoted after it, so the
+    // sweep never has to look back.
+    for (int w = fLo; w <= fHi; ++w) {
+      Word& fw = frontier[static_cast<std::size_t>(w)];
+      while (fw != 0) {
+        const int k = w * kWordBits + std::countr_zero(fw);
+        fw &= fw - 1;
+        const double xk = x[rowAt[static_cast<std::size_t>(k)]];
+        if (xk == 0.0) continue;
+        u.append(k, xk);
+        forRuns(l, k, [&](int s, int off, int len) {
+          axpyRun(x + s, l.val.data() + off, len, xk);
+          tLo = std::min(tLo, s / kWordBits);
+          tHi = std::max(tHi, (s + len - 1) / kWordBits);
+          forRangeWords(s, len, [&](int rw, Word m) {
+            const auto o = static_cast<std::size_t>(rw);
+            touched[o] |= m;
+            forBits(m & pivoted[o] & ~queued[o], rw * kWordBits, enqueue);
+          });
+        });
       }
     }
-    // Pivot among unpivoted reached rows.
+    u.endColumn();
+
+    // Pivot search over the unpivoted touched rows, ascending, so the first
+    // of equal-magnitude candidates (lowest ordering coordinate) wins.
     double maxAbs = 0.0;
-    int pivotRow = -1;
-    for (int r : topo) {
-      if (f.pinv[static_cast<std::size_t>(r)] >= 0) continue;
-      const double mag = std::abs(x[static_cast<std::size_t>(r)]);
-      if (mag > maxAbs) {
-        maxAbs = mag;
-        pivotRow = r;
-      }
+    int pc = -1;
+    for (int w = tLo; w <= tHi; ++w) {
+      const auto o = static_cast<std::size_t>(w);
+      forBits(touched[o] & ~pivoted[o], w * kWordBits, [&](int c) {
+        const double mag = std::abs(x[c]);
+        if (mag > maxAbs) {
+          maxAbs = mag;
+          pc = c;
+        }
+      });
     }
-    LISI_CHECK(pivotRow >= 0 && maxAbs > 0.0,
+    LISI_CHECK(pc >= 0 && maxAbs > 0.0,
                "SLU: matrix is singular (zero pivot column " +
                    std::to_string(col) + ")");
-    // Threshold pivoting: prefer the diagonal when it is large enough.
-    if (col != pivotRow && f.pinv[static_cast<std::size_t>(col)] < 0 &&
-        reach.wasReached(col) &&
-        std::abs(x[static_cast<std::size_t>(col)]) >=
-            options.diagPivotThresh * maxAbs &&
-        x[static_cast<std::size_t>(col)] != 0.0) {
-      pivotRow = col;
+    // Threshold pivoting: prefer the diagonal (ordering coordinate j) when
+    // it is large enough.
+    const double xd = x[j];
+    if (pc != j && !test(pivoted, j) && xd != 0.0 &&
+        std::abs(xd) >= options.diagPivotThresh * maxAbs) {
+      pc = j;
     }
-    if (pivotRow != col) ++f.stats.offDiagonalPivots;
-    const double pivot = x[static_cast<std::size_t>(pivotRow)];
+    if (pc != j) ++f.stats.offDiagonalPivots;
+    const double pivot = x[pc];
     f.uDiag[static_cast<std::size_t>(j)] = pivot;
 
-    // Split reached rows into U (already pivoted) and L (below the pivot).
-    for (int r : topo) {
-      const double v = x[static_cast<std::size_t>(r)];
-      const int k = f.pinv[static_cast<std::size_t>(r)];
-      if (k >= 0) {
-        if (v != 0.0) uCols[static_cast<std::size_t>(j)].emplace_back(k, v);
-      } else if (r != pivotRow) {
-        if (v != 0.0) {
-          lCols[static_cast<std::size_t>(j)].emplace_back(r, v / pivot);
-        }
+    // Extract L below the pivot, ascending, and reset the work state.
+    for (int w = tLo; w <= tHi; ++w) {
+      const auto o = static_cast<std::size_t>(w);
+      forBits(touched[o], w * kWordBits, [&](int c) {
+        double& v = x[c];
+        if (c != pc && !test(pivoted, c) && v != 0.0) l.append(c, v / pivot);
+        v = 0.0;
+      });
+      touched[o] = 0;
+      queued[o] = 0;
+    }
+    l.endColumn();
+    pivoted[static_cast<std::size_t>(pc / kWordBits)] |= bit(pc);
+    pivotOf[static_cast<std::size_t>(pc)] = j;
+    rowAt[static_cast<std::size_t>(j)] = pc;
+  }
+
+  // Renumber L's rows to pivot coordinates; the values keep their order,
+  // only the run boundaries move where pivoting broke consecutiveness.
+  f.l.val = std::move(l.val);
+  for (int k = 0; k < n; ++k) {
+    forRuns(l, k, [&](int s, int off, int len) {
+      for (int i = 0; i < len; ++i) {
+        f.l.place(pivotOf[static_cast<std::size_t>(s + i)], off + i + 1);
       }
-      x[static_cast<std::size_t>(r)] = 0.0;  // reset the work array
-    }
-    f.pinv[static_cast<std::size_t>(pivotRow)] = j;
+    });
+    f.l.endColumn();
+  }
+  f.pinv.resize(nz);
+  for (std::size_t r = 0; r < nz; ++r) {
+    f.pinv[r] = pivotOf[static_cast<std::size_t>(qinv[r])];
   }
 
-  // Renumber L's rows from original indices to pivot positions and flatten.
-  f.lPtr.assign(static_cast<std::size_t>(n) + 1, 0);
-  f.uPtr.assign(static_cast<std::size_t>(n) + 1, 0);
-  long long nnzL = n;  // unit diagonal
-  long long nnzU = n;  // diagonal
-  for (int j = 0; j < n; ++j) {
-    nnzL += static_cast<long long>(lCols[static_cast<std::size_t>(j)].size());
-    nnzU += static_cast<long long>(uCols[static_cast<std::size_t>(j)].size());
-  }
-  f.lRow.reserve(static_cast<std::size_t>(nnzL - n));
-  f.lVal.reserve(static_cast<std::size_t>(nnzL - n));
-  f.uRow.reserve(static_cast<std::size_t>(nnzU - n));
-  f.uVal.reserve(static_cast<std::size_t>(nnzU - n));
-  for (int j = 0; j < n; ++j) {
-    for (const auto& [r, v] : lCols[static_cast<std::size_t>(j)]) {
-      f.lRow.push_back(f.pinv[static_cast<std::size_t>(r)]);
-      f.lVal.push_back(v);
-    }
-    f.lPtr[static_cast<std::size_t>(j) + 1] = static_cast<int>(f.lRow.size());
-    // Sort each U column by pivot row: the solves are order-independent,
-    // and refactorize() needs increasing row order (a topological order of
-    // the triangular dependencies) to replay the updates.
-    auto& uc = uCols[static_cast<std::size_t>(j)];
-    std::sort(uc.begin(), uc.end());
-    for (const auto& [k, v] : uc) {
-      f.uRow.push_back(k);
-      f.uVal.push_back(v);
-    }
-    f.uPtr[static_cast<std::size_t>(j) + 1] = static_cast<int>(f.uRow.size());
-  }
-  // Pivot growth: max|U| over max|A| (with row scaling applied).
-  double maxA = 0.0;
-  for (std::size_t k = 0; k < a.values.size(); ++k) {
-    const double scale =
-        f.rowScale.empty() ? 1.0
-                           : f.rowScale[static_cast<std::size_t>(a.rowIdx[k])];
-    maxA = std::max(maxA, std::abs(a.values[k] * scale));
-  }
-  double maxU = 0.0;
-  for (double v : f.uDiag) maxU = std::max(maxU, std::abs(v));
-  for (double v : f.uVal) maxU = std::max(maxU, std::abs(v));
-  f.stats.pivotGrowth = maxA > 0.0 ? maxU / maxA : 0.0;
-
-  f.stats.nnzL = nnzL;
-  f.stats.nnzU = nnzU;
+  f.computePivotGrowth(a);
+  f.stats.nnzL = n + static_cast<long long>(f.l.val.size());
+  f.stats.nnzU = n + static_cast<long long>(f.u.val.size());
   f.stats.fillRatio =
-      f.stats.nnzA > 0
-          ? static_cast<double>(nnzL + nnzU - n) / static_cast<double>(f.stats.nnzA)
-          : 0.0;
+      f.stats.nnzA > 0 ? static_cast<double>(f.stats.nnzL + f.stats.nnzU - n) /
+                             static_cast<double>(f.stats.nnzA)
+                       : 0.0;
   if (options.lowPrecision) f.mirrorFactorsToFloat();
   return fact;
 }
+
+// lisi-lint: zero-alloc-begin(refactorize replay: factorize-sized work column)
+/// Left-looking numeric replay over the frozen runs, in pivot coordinates
+/// and ascending U-row order — the order factorize() applied the updates
+/// in.  Only the [lo, hi] window a column touched is cleared afterwards:
+/// update writes may land on positions the (numerically pruned) stored
+/// pattern misses, and those must not leak into later columns.  Returns -1,
+/// or the position of an exactly zero pivot (with the work column cleared).
+int Factorization::Impl::replay(const CscMatrix& a) {
+  double* x = work.data();
+  for (int j = 0; j < n; ++j) {
+    const int col = q[static_cast<std::size_t>(j)];
+    int lo = j, hi = j;
+    for (int t = a.colPtr[static_cast<std::size_t>(col)];
+         t < a.colPtr[static_cast<std::size_t>(col) + 1]; ++t) {
+      const int r = a.rowIdx[static_cast<std::size_t>(t)];
+      const int p = pinv[static_cast<std::size_t>(r)];
+      x[p] += a.values[static_cast<std::size_t>(t)] * scaleOf(r);
+      lo = std::min(lo, p);
+      hi = std::max(hi, p);
+    }
+    forRuns(u, j, [&](int s, int off, int len) {
+      for (int i = 0; i < len; ++i) {
+        const double ukj = x[s + i];
+        u.val[static_cast<std::size_t>(off + i)] = ukj;
+        if (ukj == 0.0) continue;
+        forRuns(l, s + i, [&](int ls, int loff, int llen) {
+          axpyRun(x + ls, l.val.data() + loff, llen, ukj);
+          lo = std::min(lo, ls);
+          hi = std::max(hi, ls + llen - 1);
+        });
+      }
+    });
+    const double pivot = x[j];
+    if (pivot != 0.0) {
+      uDiag[static_cast<std::size_t>(j)] = pivot;
+      forRuns(l, j, [&](int s, int off, int len) {
+        for (int i = 0; i < len; ++i) {
+          l.val[static_cast<std::size_t>(off + i)] = x[s + i] / pivot;
+        }
+      });
+    }
+    std::fill(x + lo, x + hi + 1, 0.0);
+    if (pivot == 0.0) return j;
+  }
+  return -1;
+}
+// lisi-lint: zero-alloc-end
 
 void Factorization::refactorize(const CscMatrix& a) {
   lisi::obs::Span span("slu.factor.numeric_refresh");
@@ -331,84 +441,60 @@ void Factorization::refactorize(const CscMatrix& a) {
   LISI_CHECK(a.colPtr == f.aColPtr && a.rowIdx == f.aRowIdx,
              "SLU refactorize: sparsity pattern differs from the factorized "
              "matrix (SamePattern contract)");
-  const auto n = static_cast<std::size_t>(f.n);
-
   // Row equilibration factors depend on values; recompute over the fixed
   // pattern.
-  if (f.options.equilibrate) {
-    std::fill(f.rowScale.begin(), f.rowScale.end(), 0.0);
-    for (std::size_t k = 0; k < a.values.size(); ++k) {
-      auto& s = f.rowScale[static_cast<std::size_t>(a.rowIdx[k])];
-      s = std::max(s, std::abs(a.values[k]));
-    }
-    for (double& s : f.rowScale) {
-      LISI_CHECK(s != 0.0, "SLU refactorize: structurally zero row");
-      s = 1.0 / s;
-    }
-  }
-
-  // Left-looking numeric replay in pivot coordinates: the row permutation
-  // (pinv), column ordering (q), and the L/U patterns are frozen, so each
-  // column is one sparse triangular solve against the already-refreshed
-  // earlier columns.  U entries are sorted by row (see factorize), which is
-  // a valid topological order for the updates.
-  std::vector<double> x(n, 0.0);
-  for (int j = 0; j < f.n; ++j) {
-    const int col = f.q[static_cast<std::size_t>(j)];
-    for (int t = a.colPtr[static_cast<std::size_t>(col)];
-         t < a.colPtr[static_cast<std::size_t>(col) + 1]; ++t) {
-      const int r = a.rowIdx[static_cast<std::size_t>(t)];
-      const double scale =
-          f.rowScale.empty() ? 1.0 : f.rowScale[static_cast<std::size_t>(r)];
-      x[static_cast<std::size_t>(f.pinv[static_cast<std::size_t>(r)])] +=
-          a.values[static_cast<std::size_t>(t)] * scale;
-    }
-    for (int t = f.uPtr[static_cast<std::size_t>(j)];
-         t < f.uPtr[static_cast<std::size_t>(j) + 1]; ++t) {
-      const int i = f.uRow[static_cast<std::size_t>(t)];
-      const double uij = x[static_cast<std::size_t>(i)];
-      f.uVal[static_cast<std::size_t>(t)] = uij;
-      if (uij == 0.0) continue;
-      for (int s = f.lPtr[static_cast<std::size_t>(i)];
-           s < f.lPtr[static_cast<std::size_t>(i) + 1]; ++s) {
-        x[static_cast<std::size_t>(f.lRow[static_cast<std::size_t>(s)])] -=
-            uij * f.lVal[static_cast<std::size_t>(s)];
-      }
-    }
-    const double pivot = x[static_cast<std::size_t>(j)];
-    LISI_CHECK(pivot != 0.0,
-               "SLU refactorize: zero pivot at position " + std::to_string(j) +
-                   " under the frozen pivot sequence; a full factorize() is "
-                   "required");
-    f.uDiag[static_cast<std::size_t>(j)] = pivot;
-    for (int t = f.lPtr[static_cast<std::size_t>(j)];
-         t < f.lPtr[static_cast<std::size_t>(j) + 1]; ++t) {
-      f.lVal[static_cast<std::size_t>(t)] =
-          x[static_cast<std::size_t>(f.lRow[static_cast<std::size_t>(t)])] /
-          pivot;
-    }
-    // Clear the whole work column: update writes may touch positions the
-    // (numerically pruned) stored pattern misses, and stale values must not
-    // leak into later columns.
-    std::fill(x.begin(), x.end(), 0.0);
-  }
-
+  if (f.options.equilibrate) f.computeRowScale(a);
+  const int zeroPivot = f.replay(a);
+  LISI_CHECK(zeroPivot < 0,
+             "SLU refactorize: zero pivot at position " +
+                 std::to_string(zeroPivot) +
+                 " under the frozen pivot sequence; a full factorize() is "
+                 "required");
   // Refresh the value-dependent diagnostics; the symbolic stats (fill,
   // permutation quality) are unchanged by construction.
-  double maxA = 0.0;
-  for (std::size_t k = 0; k < a.values.size(); ++k) {
-    const double scale =
-        f.rowScale.empty() ? 1.0
-                           : f.rowScale[static_cast<std::size_t>(a.rowIdx[k])];
-    maxA = std::max(maxA, std::abs(a.values[k] * scale));
-  }
-  double maxU = 0.0;
-  for (double v : f.uDiag) maxU = std::max(maxU, std::abs(v));
-  for (double v : f.uVal) maxU = std::max(maxU, std::abs(v));
-  f.stats.pivotGrowth = maxA > 0.0 ? maxU / maxA : 0.0;
+  f.computePivotGrowth(a);
   if (f.options.lowPrecision) f.mirrorFactorsToFloat();
   gNumericRefactorizations.fetch_add(1, std::memory_order_relaxed);
   lisi::obs::count("slu.factor.numeric_refresh");
+}
+
+/// solveMany's body for factor values of type V: per right-hand side,
+/// c = P D b, forward L (unit diagonal) then backward U, column-oriented,
+/// then x = Q c.
+template <class V>
+void Factorization::Impl::solveColumns(const V* lVal, const V* uVal,
+                                       const V* uDiagV,
+                                       std::span<const double> b,
+                                       std::span<double> x,
+                                       int numRhs) const {
+  const auto nz = static_cast<std::size_t>(n);
+  std::vector<V> cv(nz);
+  V* c = cv.data();
+  for (int rhs = 0; rhs < numRhs; ++rhs) {
+    const double* bk = b.data() + nz * static_cast<std::size_t>(rhs);
+    double* xk = x.data() + nz * static_cast<std::size_t>(rhs);
+    for (std::size_t r = 0; r < nz; ++r) {
+      c[pinv[r]] = static_cast<V>(bk[r] * scaleOf(static_cast<int>(r)));
+    }
+    for (int k = 0; k < n; ++k) {
+      const V yk = c[k];
+      if (yk == V(0)) continue;
+      forRuns(l, k, [&](int s, int off, int len) {
+        axpyRun(c + s, lVal + off, len, yk);
+      });
+    }
+    for (int k = n - 1; k >= 0; --k) {
+      const V zk = c[k] / uDiagV[k];
+      c[k] = zk;
+      if (zk == V(0)) continue;
+      forRuns(u, k, [&](int s, int off, int len) {
+        axpyRun(c + s, uVal + off, len, zk);
+      });
+    }
+    for (std::size_t k = 0; k < nz; ++k) {
+      xk[q[k]] = static_cast<double>(c[k]);
+    }
+  }
 }
 
 void Factorization::solve(std::span<const double> b,
@@ -429,30 +515,32 @@ void Factorization::solveTranspose(std::span<const double> b,
   for (std::size_t k = 0; k < n; ++k) {
     c[k] = b[static_cast<std::size_t>(f.q[k])];
   }
-  // Forward solve U' y = c (U is upper triangular by column => U' is lower
-  // triangular by row; column-of-U = row-of-U').
-  for (std::size_t k = 0; k < n; ++k) {
-    double acc = c[k];
-    for (int t = f.uPtr[k]; t < f.uPtr[k + 1]; ++t) {
-      acc -= f.uVal[static_cast<std::size_t>(t)] *
-             c[static_cast<std::size_t>(f.uRow[static_cast<std::size_t>(t)])];
-    }
-    c[k] = acc / f.uDiag[k];
+  // Column k of a factor is row k of its transpose, so each solve is a
+  // dot product over the column's runs.
+  auto dotRuns = [&](const RunColumns& t, int k, double acc) {
+    forRuns(t, k, [&](int s, int off, int len) {
+      for (int i = 0; i < len; ++i) {
+        acc -= t.val[static_cast<std::size_t>(off + i)] *
+               c[static_cast<std::size_t>(s + i)];
+      }
+    });
+    return acc;
+  };
+  // Forward solve U' y = c.
+  for (int k = 0; k < f.n; ++k) {
+    c[static_cast<std::size_t>(k)] =
+        dotRuns(f.u, k, c[static_cast<std::size_t>(k)]) /
+        f.uDiag[static_cast<std::size_t>(k)];
   }
   // Backward solve L' z = y (unit diagonal).
-  for (int k = static_cast<int>(n) - 1; k >= 0; --k) {
-    double acc = c[static_cast<std::size_t>(k)];
-    for (int t = f.lPtr[static_cast<std::size_t>(k)];
-         t < f.lPtr[static_cast<std::size_t>(k) + 1]; ++t) {
-      acc -= f.lVal[static_cast<std::size_t>(t)] *
-             c[static_cast<std::size_t>(f.lRow[static_cast<std::size_t>(t)])];
-    }
-    c[static_cast<std::size_t>(k)] = acc;
+  for (int k = f.n - 1; k >= 0; --k) {
+    c[static_cast<std::size_t>(k)] =
+        dotRuns(f.l, k, c[static_cast<std::size_t>(k)]);
   }
   // x = D P' z: x[r] = scale[r] * z[pinv[r]].
   for (std::size_t r = 0; r < n; ++r) {
-    const double scale = f.rowScale.empty() ? 1.0 : f.rowScale[r];
-    x[r] = scale * c[static_cast<std::size_t>(f.pinv[r])];
+    x[r] = f.scaleOf(static_cast<int>(r)) *
+           c[static_cast<std::size_t>(f.pinv[r])];
   }
 }
 
@@ -470,80 +558,14 @@ void Factorization::solveMany(std::span<const double> b, std::span<double> x,
     // the work vector are float32 (the float32 rounding of the solution is
     // what iterative refinement corrects).  The right-hand side is cast on
     // entry and the solution on exit.
-    std::vector<float> c(n);
-    for (int rhs = 0; rhs < numRhs; ++rhs) {
-      std::span<const double> bk =
-          b.subspan(n * static_cast<std::size_t>(rhs), n);
-      std::span<double> xk = x.subspan(n * static_cast<std::size_t>(rhs), n);
-      for (std::size_t r = 0; r < n; ++r) {
-        const double scale = f.rowScale.empty() ? 1.0 : f.rowScale[r];
-        c[static_cast<std::size_t>(f.pinv[r])] =
-            static_cast<float>(bk[r] * scale);
-      }
-      for (std::size_t k = 0; k < n; ++k) {
-        const float yk = c[k];
-        if (yk == 0.0f) continue;
-        for (int t = f.lPtr[k]; t < f.lPtr[k + 1]; ++t) {
-          c[static_cast<std::size_t>(f.lRow[static_cast<std::size_t>(t)])] -=
-              yk * f.lValF[static_cast<std::size_t>(t)];
-        }
-      }
-      for (int k = static_cast<int>(n) - 1; k >= 0; --k) {
-        const float zk = c[static_cast<std::size_t>(k)] /
-                         f.uDiagF[static_cast<std::size_t>(k)];
-        c[static_cast<std::size_t>(k)] = zk;
-        if (zk == 0.0f) continue;
-        for (int t = f.uPtr[static_cast<std::size_t>(k)];
-             t < f.uPtr[static_cast<std::size_t>(k) + 1]; ++t) {
-          c[static_cast<std::size_t>(f.uRow[static_cast<std::size_t>(t)])] -=
-              zk * f.uValF[static_cast<std::size_t>(t)];
-        }
-      }
-      for (std::size_t k = 0; k < n; ++k) {
-        xk[static_cast<std::size_t>(f.q[k])] =
-            static_cast<double>(c[k]);
-      }
-      lisi::prec::noteLowApply();
-    }
+    f.solveColumns(f.lValF.data(), f.uValF.data(), f.uDiagF.data(), b, x,
+                   numRhs);
+    for (int rhs = 0; rhs < numRhs; ++rhs) lisi::prec::noteLowApply();
     lisi::prec::noteBytesLow(4LL * f.factorValueCount() * numRhs);
     return;
   }
-
-  std::vector<double> c(n);
-  for (int rhs = 0; rhs < numRhs; ++rhs) {
-    std::span<const double> bk = b.subspan(n * static_cast<std::size_t>(rhs), n);
-    std::span<double> xk = x.subspan(n * static_cast<std::size_t>(rhs), n);
-    // c = P D b  (apply row scaling, then the row permutation).
-    for (std::size_t r = 0; r < n; ++r) {
-      const double scale = f.rowScale.empty() ? 1.0 : f.rowScale[r];
-      c[static_cast<std::size_t>(f.pinv[r])] = bk[r] * scale;
-    }
-    // Forward solve L y = c (unit diagonal, column-oriented).
-    for (std::size_t k = 0; k < n; ++k) {
-      const double yk = c[k];
-      if (yk == 0.0) continue;
-      for (int t = f.lPtr[k]; t < f.lPtr[k + 1]; ++t) {
-        c[static_cast<std::size_t>(f.lRow[static_cast<std::size_t>(t)])] -=
-            yk * f.lVal[static_cast<std::size_t>(t)];
-      }
-    }
-    // Backward solve U z = y (column-oriented).
-    for (int k = static_cast<int>(n) - 1; k >= 0; --k) {
-      const double zk = c[static_cast<std::size_t>(k)] /
-                        f.uDiag[static_cast<std::size_t>(k)];
-      c[static_cast<std::size_t>(k)] = zk;
-      if (zk == 0.0) continue;
-      for (int t = f.uPtr[static_cast<std::size_t>(k)];
-           t < f.uPtr[static_cast<std::size_t>(k) + 1]; ++t) {
-        c[static_cast<std::size_t>(f.uRow[static_cast<std::size_t>(t)])] -=
-            zk * f.uVal[static_cast<std::size_t>(t)];
-      }
-    }
-    // Undo the column permutation: x[q[k]] = z[k].
-    for (std::size_t k = 0; k < n; ++k) {
-      xk[static_cast<std::size_t>(f.q[k])] = c[k];
-    }
-  }
+  f.solveColumns(f.l.val.data(), f.u.val.data(), f.uDiag.data(), b, x,
+                 numRhs);
   lisi::prec::noteBytesHigh(8LL * f.factorValueCount() * numRhs);
 }
 

@@ -1,11 +1,19 @@
 // SLU — a sequential sparse direct LU solver in the style of SuperLU.
 //
 // API style follows SuperLU's phase separation: an options struct, a
-// factorize step (the dgstrf analogue, here Gilbert-Peierls left-looking LU
-// with threshold partial pivoting and an optional fill-reducing column
-// ordering), a triangular solve step (dgstrs), and a simple driver (dgssv).
-// The factor object is reusable across right-hand sides — §5.2 use case (b)
-// of the paper: "Precompute reused objects such as LU factorization...".
+// factorize step (the dgstrf analogue, here left-looking LU with threshold
+// partial pivoting and an optional fill-reducing column ordering), a
+// triangular solve step (dgstrs), and a simple driver (dgssv).  The factor
+// object is reusable across right-hand sides — §5.2 use case (b) of the
+// paper: "Precompute reused objects such as LU factorization...".
+//
+// Kernels: the factors are stored as runs of consecutive rows (first row,
+// value offset per run), so every factorization update and every
+// triangular-solve step is a dense axpy over a run; under a banded ordering
+// such as RCM each L column is one run.  factorize() eliminates each column
+// with a frontier that applies earlier columns in ascending pivot order —
+// the order refactorize() replays — so the two produce bitwise identical
+// factors for the same values (see slu.cpp).
 //
 // Native input format is CSC (column-compressed), as in SuperLU; LISI's
 // SluSolverComponent converts whatever the application supplies.
@@ -36,7 +44,9 @@ struct Options {
   Ordering ordering = Ordering::kRcm;
   /// Threshold partial pivoting: the diagonal candidate is kept when
   /// |a_diag| >= diagPivotThresh * max|column|.  1.0 = classic partial
-  /// pivoting, 0.0 = always prefer the diagonal (no pivoting).
+  /// pivoting, 0.0 = always prefer the diagonal (no pivoting).  Among
+  /// off-diagonal candidates of equal magnitude the row that comes first in
+  /// the column ordering wins.
   double diagPivotThresh = 1.0;
   /// Scale rows to unit infinity norm before factoring.
   bool equilibrate = false;
@@ -84,9 +94,11 @@ class Factorization {
   /// Numeric-only refactorization over the SAME sparsity pattern —
   /// SuperLU's SamePattern_SameRowPerm: the column ordering, the row
   /// permutation, and the elimination structure of the existing factors are
-  /// all reused, and only the numeric left-looking updates are replayed
-  /// (values overwritten in place, no symbolic work, no allocation beyond
-  /// the dense work column).  `a` must carry exactly the pattern this
+  /// all reused, and only the numeric left-looking updates are replayed, in
+  /// factorize()'s order (values overwritten in place, no symbolic work, no
+  /// heap allocation: the dense work column is sized by factorize()).  On
+  /// the values factorize() saw, the factors come out bitwise unchanged.
+  /// `a` must carry exactly the pattern this
   /// object was factorized from; a mismatch throws.  Because the pivot
   /// sequence is frozen, a pivot that becomes exactly zero throws
   /// lisi::Error — callers fall back to a full factorize().  Positions that

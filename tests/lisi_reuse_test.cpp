@@ -84,19 +84,16 @@ std::shared_ptr<SparseSolver> wireSolver(
   return s;
 }
 
-/// setupMatrix(scale * A) + setupRHS + solve; returns the local solution.
-std::vector<double> feedAndSolve(SparseSolver& s,
-                                 const mesh::Pde5ptLocalSystem& sys,
-                                 double scale) {
-  sparse::CsrMatrix a = sys.localA;
-  for (double& v : a.values) v *= scale;
+/// setupMatrix(a) + setupRHS(b) + solve; returns the local solution.
+std::vector<double> feedAndSolve(SparseSolver& s, const sparse::CsrMatrix& a,
+                                 const std::vector<double>& b) {
   const int m = a.rows;
   EXPECT_EQ(s.setupMatrix(RArray<const double>(a.values.data(), a.nnz()),
                           RArray<const int>(a.rowPtr.data(), m + 1),
                           RArray<const int>(a.colIdx.data(), a.nnz()),
                           SparseStruct::kCsr, m + 1, a.nnz()),
             0);
-  EXPECT_EQ(s.setupRHS(RArray<const double>(sys.localB.data(), m), m, 1), 0);
+  EXPECT_EQ(s.setupRHS(RArray<const double>(b.data(), m), m, 1), 0);
   std::vector<double> x(static_cast<std::size_t>(m));
   std::vector<double> st(kStatusLength);
   EXPECT_EQ(s.solve(RArray<double>(x.data(), m),
@@ -105,6 +102,15 @@ std::vector<double> feedAndSolve(SparseSolver& s,
             0);
   EXPECT_DOUBLE_EQ(st[kStatusConverged], 1.0);
   return x;
+}
+
+/// setupMatrix(scale * A) + setupRHS + solve; returns the local solution.
+std::vector<double> feedAndSolve(SparseSolver& s,
+                                 const mesh::Pde5ptLocalSystem& sys,
+                                 double scale) {
+  sparse::CsrMatrix a = sys.localA;
+  for (double& v : a.values) v *= scale;
+  return feedAndSolve(s, a, sys.localB);
 }
 
 // ---- no plan rebuild, no symbolic refactorization on same pattern --------
@@ -173,6 +179,62 @@ INSTANTIATE_TEST_SUITE_P(
       return std::string(backendLabel(std::get<0>(info.param))) + "_ranks" +
              std::to_string(std::get<1>(info.param));
     });
+
+// ---- SLU: a frozen pivot that turns zero falls back to a full factor ------
+
+TEST(LisiReuseSlu, ZeroFrozenPivotFallsBackToFullFactorization) {
+  // Natural ordering pivots the paper PDE on its diagonal.  The second
+  // setupMatrix keeps the pattern but rewrites the leading 2x2 block to
+  // [1 2; 3 6], so the frozen pivot at position 1 becomes 6 - 3*2 = 0 and
+  // the numeric refactorization throws mid-replay.  The component must fall
+  // back to one full factorization and still solve, bitwise like a fresh
+  // component fed the same matrix.
+  const int gridN = 9;
+  World::run(2, [&](Comm& c) {
+    mesh::Pde5ptSpec spec;
+    spec.gridN = gridN;
+    const auto sys = mesh::assembleLocal(spec, c.rank(), c.size());
+    sparse::CsrMatrix bad = sys.localA;
+    const double block[2][2] = {{1.0, 2.0}, {3.0, 6.0}};
+    // Global rows 0 and 1 are rank 0's first two rows.
+    for (int i = 0; i < (sys.startRow == 0 ? 2 : 0); ++i) {
+      for (int k = bad.rowPtr[static_cast<std::size_t>(i)];
+           k < bad.rowPtr[static_cast<std::size_t>(i) + 1]; ++k) {
+        const int j = bad.colIdx[static_cast<std::size_t>(k)];
+        if (j < 2) bad.values[static_cast<std::size_t>(k)] = block[i][j];
+      }
+    }
+    cca::Framework fw;
+    const long h = comm::registerHandle(c);
+    auto s = wireSolver(fw, h, 2, sys, gridN);
+    ASSERT_EQ(s->set("ordering", "natural"), 0);
+    (void)feedAndSolve(*s, sys.localA, sys.localB);
+
+    c.barrier();
+    const long long plans0 = sparse::haloPlanBuilds();
+    const long long sym0 = slu::symbolicFactorizations();
+    const long long refac0 = slu::numericRefactorizations();
+    c.barrier();
+
+    const std::vector<double> x = feedAndSolve(*s, bad, sys.localB);
+
+    c.barrier();
+    const long long planDelta = sparse::haloPlanBuilds() - plans0;
+    const long long symDelta = slu::symbolicFactorizations() - sym0;
+    const long long refacDelta = slu::numericRefactorizations() - refac0;
+    c.barrier();
+
+    EXPECT_EQ(planDelta, 0) << "the re-setup was not classified same-pattern";
+    EXPECT_EQ(symDelta, 1) << "no fallback to a full factorization";
+    EXPECT_EQ(refacDelta, 0) << "a zero frozen pivot refactorized";
+
+    auto fresh = wireSolver(fw, h, 2, sys, gridN);
+    ASSERT_EQ(fresh->set("ordering", "natural"), 0);
+    const std::vector<double> xf = feedAndSolve(*fresh, bad, sys.localB);
+    EXPECT_EQ(x, xf);
+    comm::releaseHandle(h);
+  });
+}
 
 // ---- FEM duplicate triplets: assembly order must not change the pattern --
 

@@ -1,10 +1,16 @@
 // SLU direct-solver tests: exactness on small systems, residuals on large
 // ones, orderings, pivoting (including matrices that *require* row
 // pivoting), factor reuse across right-hand sides, singular detection,
-// and fill statistics.
+// fill statistics, and the factor contract: refactorize() of the factorized
+// values is bitwise factorize(), allocates nothing once warm, and recovers
+// cleanly from a zero pivot.
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <cmath>
+#include <cstdlib>
+#include <cstring>
+#include <new>
 
 #include "mesh/pde5pt.hpp"
 #include "slu/slu.hpp"
@@ -12,6 +18,32 @@
 #include "sparse/generate.hpp"
 #include "sparse/ops.hpp"
 #include "support/rng.hpp"
+
+// ---- global allocation counter ----------------------------------------
+// Replaces the global allocation functions for this test binary so the
+// allocation-free contract of Factorization::refactorize can be asserted
+// directly.  Counting is off by default; tests toggle it around the
+// measured region.
+namespace {
+std::atomic<bool> g_countAllocs{false};
+std::atomic<std::size_t> g_allocCalls{0};
+
+void* countedAlloc(std::size_t n) {
+  if (g_countAllocs.load(std::memory_order_relaxed)) {
+    g_allocCalls.fetch_add(1, std::memory_order_relaxed);
+  }
+  void* p = std::malloc(n == 0 ? 1 : n);
+  if (!p) throw std::bad_alloc();
+  return p;
+}
+}  // namespace
+
+void* operator new(std::size_t n) { return countedAlloc(n); }
+void* operator new[](std::size_t n) { return countedAlloc(n); }
+void operator delete(void* p) noexcept { std::free(p); }
+void operator delete[](void* p) noexcept { std::free(p); }
+void operator delete(void* p, std::size_t) noexcept { std::free(p); }
+void operator delete[](void* p, std::size_t) noexcept { std::free(p); }
 
 namespace slu {
 namespace {
@@ -399,6 +431,196 @@ TEST(SluStats, ExactSolveOfTriangularHasNoFill) {
   Stats st;
   EXPECT_LT(solveRelResidual(a, opts, nullptr, &st), 1e-12);
   EXPECT_EQ(st.nnzL + st.nnzU - n, st.nnzA);  // zero fill
+}
+
+// ---- factor contract ------------------------------------------------------
+
+CscMatrix pdeCsc(int gridN) {
+  lisi::mesh::Pde5ptSpec spec;
+  spec.gridN = gridN;
+  return csrToCsc(lisi::mesh::assembleGlobal(spec).localA);
+}
+
+/// Random unsymmetric matrix whose shrunken diagonal forces row
+/// interchanges under classic partial pivoting (diagPivotThresh = 1).
+CsrMatrix randomNeedsPivoting(int n, Rng& rng) {
+  CsrMatrix a = lisi::sparse::randomDiagDominant(n, 6, 0.5, rng);
+  for (int i = 0; i < n; ++i) {
+    for (int k = a.rowPtr[static_cast<std::size_t>(i)];
+         k < a.rowPtr[static_cast<std::size_t>(i) + 1]; ++k) {
+      if (a.colIdx[static_cast<std::size_t>(k)] == i) {
+        a.values[static_cast<std::size_t>(k)] *= 1e-3;
+      }
+    }
+  }
+  return a;
+}
+
+/// Solutions of three fixed right-hand sides, concatenated.
+std::vector<double> threeSolves(const Factorization& f) {
+  const auto n = static_cast<std::size_t>(f.order());
+  Rng rng(99);
+  std::vector<double> b(3 * n), x(3 * n);
+  for (auto& v : b) v = rng.uniform(-1, 1);
+  for (std::size_t k = 0; k < 3; ++k) {
+    f.solve(std::span<const double>(b).subspan(k * n, n),
+            std::span<double>(x).subspan(k * n, n));
+  }
+  return x;
+}
+
+bool bitwiseEqual(const std::vector<double>& a, const std::vector<double>& b) {
+  return a.size() == b.size() &&
+         std::memcmp(a.data(), b.data(), a.size() * sizeof(double)) == 0;
+}
+
+void expectSameStats(const Stats& a, const Stats& b) {
+  EXPECT_EQ(a.n, b.n);
+  EXPECT_EQ(a.nnzA, b.nnzA);
+  EXPECT_EQ(a.nnzL, b.nnzL);
+  EXPECT_EQ(a.nnzU, b.nnzU);
+  EXPECT_EQ(a.fillRatio, b.fillRatio);
+  EXPECT_EQ(a.offDiagonalPivots, b.offDiagonalPivots);
+  EXPECT_EQ(a.pivotGrowth, b.pivotGrowth);
+}
+
+/// factorize(A), then refactorize(A) on the same object: the replay applies
+/// the updates in the order factorize did, so the factors (observed through
+/// three solves) and the Stats must not change by a single bit.
+void expectRefactorizeIsBitwiseFactorize(const CscMatrix& a,
+                                         const Options& opts) {
+  auto fact = Factorization::factorize(a, opts);
+  const Stats before = fact.stats();
+  const std::vector<double> x0 = threeSolves(fact);
+  fact.refactorize(a);
+  EXPECT_TRUE(bitwiseEqual(x0, threeSolves(fact)));
+  expectSameStats(before, fact.stats());
+}
+
+/// Max-norm error of solving a x = a xTrue, relative to max|xTrue|.
+double knownSolutionError(const CsrMatrix& a, const Options& opts,
+                          bool refine) {
+  Rng rng(77);
+  std::vector<double> xTrue(static_cast<std::size_t>(a.rows));
+  for (auto& v : xTrue) v = rng.uniform(-1, 1);
+  std::vector<double> b(xTrue.size()), x(xTrue.size());
+  lisi::sparse::spmv(a, std::span<const double>(xTrue), std::span<double>(b));
+  const CscMatrix csc = csrToCsc(a);
+  const auto fact = Factorization::factorize(csc, opts);
+  if (refine) {
+    (void)fact.solveRefined(csc, std::span<const double>(b),
+                            std::span<double>(x), 10);
+  } else {
+    fact.solve(std::span<const double>(b), std::span<double>(x));
+  }
+  double err = 0.0, ref = 0.0;
+  for (std::size_t i = 0; i < x.size(); ++i) {
+    err = std::max(err, std::abs(x[i] - xTrue[i]));
+    ref = std::max(ref, std::abs(xTrue[i]));
+  }
+  return err / ref;
+}
+
+TEST(SluContract, RcmPdeFillAndPivotsPinned) {
+  // The fill of RCM on the 63x63 paper PDE is a property of the ordering
+  // and the pivot rule, not of the kernel that computes it.
+  const auto fact = Factorization::factorize(pdeCsc(63));
+  EXPECT_EQ(fact.stats().nnzL, 172578);
+  EXPECT_EQ(fact.stats().nnzU, 172578);
+  EXPECT_EQ(fact.stats().offDiagonalPivots, 0);
+}
+
+TEST(SluContract, RefactorizeIsBitwiseFactorizeOnRcmPde) {
+  expectRefactorizeIsBitwiseFactorize(pdeCsc(63), Options{});
+}
+
+TEST(SluContract, RefactorizeIsBitwiseFactorizeUnderRowInterchanges) {
+  // Real row interchanges fragment the L columns into many row runs.
+  for (Ordering o : {Ordering::kNatural, Ordering::kMinDeg}) {
+    Rng rng(31);
+    const CscMatrix a = csrToCsc(randomNeedsPivoting(200, rng));
+    Options opts;
+    opts.ordering = o;
+    opts.diagPivotThresh = 1.0;
+    EXPECT_GT(Factorization::factorize(a, opts).stats().offDiagonalPivots, 0);
+    expectRefactorizeIsBitwiseFactorize(a, opts);
+  }
+}
+
+TEST(SluContract, EquilibratedSolveHitsKnownSolution) {
+  lisi::mesh::Pde5ptSpec spec;
+  spec.gridN = 24;
+  CsrMatrix a = lisi::mesh::assembleGlobal(spec).localA;
+  for (int i = 0; i < a.rows; ++i) {
+    const double s = std::pow(10.0, (i % 7) - 3);
+    for (int k = a.rowPtr[static_cast<std::size_t>(i)];
+         k < a.rowPtr[static_cast<std::size_t>(i) + 1]; ++k) {
+      a.values[static_cast<std::size_t>(k)] *= s;
+    }
+  }
+  Options opts;
+  opts.equilibrate = true;
+  EXPECT_LT(knownSolutionError(a, opts, false), 1e-12);
+}
+
+TEST(SluContract, LowPrecisionRefinedSolveHitsKnownSolution) {
+  lisi::mesh::Pde5ptSpec spec;
+  spec.gridN = 24;
+  Options opts;
+  opts.lowPrecision = true;
+  EXPECT_LT(knownSolutionError(lisi::mesh::assembleGlobal(spec).localA, opts,
+                               true),
+            1e-12);
+}
+
+TEST(SluContract, WarmRefactorizeAllocatesNothing) {
+  Rng rng(41);
+  const CscMatrix pde = pdeCsc(20);
+  const CscMatrix pivoting = csrToCsc(randomNeedsPivoting(120, rng));
+  Options mixed;
+  mixed.equilibrate = true;
+  mixed.lowPrecision = true;
+  Options natural;
+  natural.ordering = Ordering::kNatural;
+  for (const auto& [a, opts] : {std::pair{&pde, Options{}},
+                                std::pair{&pde, mixed},
+                                std::pair{&pivoting, natural}}) {
+    auto fact = Factorization::factorize(*a, opts);
+    fact.refactorize(*a);  // warm
+    g_allocCalls.store(0);
+    g_countAllocs.store(true);
+    fact.refactorize(*a);
+    g_countAllocs.store(false);
+    EXPECT_EQ(g_allocCalls.load(), 0u);
+  }
+}
+
+TEST(SluContract, ZeroPivotReplayLeavesNoStaleState) {
+  // Natural ordering on the PDE pivots on the diagonal.  Rewriting the
+  // leading 2x2 block to [1 2; 3 6] makes the frozen pivot at position 1
+  // exactly 6 - 3*2 = 0 while the rest of that column is live, so the
+  // replay throws with nonzero work entries in flight.
+  lisi::mesh::Pde5ptSpec spec;
+  spec.gridN = 12;
+  const CsrMatrix good = lisi::mesh::assembleGlobal(spec).localA;
+  CsrMatrix bad = good;
+  const double block[2][2] = {{1.0, 2.0}, {3.0, 6.0}};
+  for (int i = 0; i < 2; ++i) {
+    for (int k = bad.rowPtr[static_cast<std::size_t>(i)];
+         k < bad.rowPtr[static_cast<std::size_t>(i) + 1]; ++k) {
+      const int j = bad.colIdx[static_cast<std::size_t>(k)];
+      if (j < 2) bad.values[static_cast<std::size_t>(k)] = block[i][j];
+    }
+  }
+  Options opts;
+  opts.ordering = Ordering::kNatural;
+  auto fact = Factorization::factorize(csrToCsc(good), opts);
+  ASSERT_EQ(fact.stats().offDiagonalPivots, 0);
+  EXPECT_THROW(fact.refactorize(csrToCsc(bad)), lisi::Error);
+  fact.refactorize(csrToCsc(good));
+  const auto fresh = Factorization::factorize(csrToCsc(good), opts);
+  EXPECT_TRUE(bitwiseEqual(threeSolves(fresh), threeSolves(fact)));
+  expectSameStats(fresh.stats(), fact.stats());
 }
 
 }  // namespace
