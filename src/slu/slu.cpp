@@ -9,7 +9,9 @@
 // ordering coordinates instead (row r is relabelled qinv[r], its position
 // in the column ordering), so a banded ordering such as RCM gives each L
 // column one run; they are renumbered to pivot coordinates at the end
-// (identity when no pivot left the diagonal).
+// (identity when no pivot left the diagonal).  The values of each factor
+// grow in a page mapping of their own (PageArray), outside the malloc
+// arenas.
 //
 // Update order.  Column j is eliminated by a frontier, not a depth-first
 // reach: word bitsets record which rows are touched, pivoted and queued,
@@ -26,12 +28,16 @@
 // from both factors.
 #include "slu/slu.hpp"
 
+#include <sys/mman.h>
+
 #include <algorithm>
 #include <atomic>
 #include <bit>
 #include <cmath>
 #include <cstdint>
 #include <limits>
+#include <new>
+#include <utility>
 
 #include "obs/obs.hpp"
 #include "sparse/ops.hpp"
@@ -50,13 +56,67 @@ namespace {
 std::atomic<long long> gSymbolicFactorizations{0};
 std::atomic<long long> gNumericRefactorizations{0};
 
+/// Append-only array of factor values in its own anonymous mapping.  It
+/// doubles in place through mremap (no copy) and unmaps when released, so
+/// factor values never pass through the malloc arenas.  A vector's chain
+/// of doubling steps would leave arena holes whose reuse depends on which
+/// arena a rank thread drew, and with it the process's resident peak.
+class PageArray {
+ public:
+  PageArray() = default;
+  PageArray(PageArray&& o) noexcept { swap(o); }
+  PageArray& operator=(PageArray&& o) noexcept {
+    swap(o);
+    return *this;
+  }
+  PageArray(const PageArray&) = delete;
+  PageArray& operator=(const PageArray&) = delete;
+  ~PageArray() {
+    if (data_ != nullptr) munmap(data_, cap_ * sizeof(double));
+  }
+
+  void push_back(double v) {
+    if (size_ == cap_) grow();
+    data_[size_++] = v;
+  }
+  [[nodiscard]] std::size_t size() const { return size_; }
+  [[nodiscard]] double* data() { return data_; }
+  [[nodiscard]] const double* data() const { return data_; }
+  double& operator[](std::size_t i) { return data_[i]; }
+  const double& operator[](std::size_t i) const { return data_[i]; }
+  [[nodiscard]] const double* begin() const { return data_; }
+  [[nodiscard]] const double* end() const { return data_ + size_; }
+
+ private:
+  static constexpr std::size_t kFirstBytes = std::size_t{64} << 10;
+
+  void swap(PageArray& o) noexcept {
+    std::swap(data_, o.data_);
+    std::swap(size_, o.size_);
+    std::swap(cap_, o.cap_);
+  }
+  void grow() {
+    const std::size_t bytes = cap_ * sizeof(double);
+    void* p = bytes == 0 ? mmap(nullptr, kFirstBytes, PROT_READ | PROT_WRITE,
+                                MAP_PRIVATE | MAP_ANONYMOUS, -1, 0)
+                         : mremap(data_, bytes, 2 * bytes, MREMAP_MAYMOVE);
+    if (p == MAP_FAILED) throw std::bad_alloc();
+    data_ = static_cast<double*>(p);
+    cap_ = (bytes == 0 ? kFirstBytes : 2 * bytes) / sizeof(double);
+  }
+
+  double* data_ = nullptr;
+  std::size_t size_ = 0;
+  std::size_t cap_ = 0;
+};
+
 /// Columns of a triangular factor as runs of consecutive rows.  Column k
 /// owns runs [ptr[k], ptr[k+1]); run t covers rows [start[t], start[t] +
 /// off[t+1] - off[t]) with values val[off[t] ...].  `off` carries one
 /// sentinel past the last run (off.back() == val.size()).
 struct RunColumns {
   std::vector<int> ptr{0}, start, off{0};
-  std::vector<double> val;
+  PageArray val;
 
   /// Append (row, v) to the column being built.
   void append(int row, double v) {
