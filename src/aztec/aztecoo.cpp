@@ -339,16 +339,25 @@ IterationResult runCg(const RowMatrix& a, const PcApply& pc, const Vector& b,
 }
 
 /// Right-preconditioned restarted GMRES (tracked residual = true residual).
+/// Orthogonalization is classical Gram-Schmidt on the fused kernels of
+/// lisi::sparse, as in pksp's GMRES: one reduction for the projections and
+/// ||w||^2, one for the new norm, and a second pass only when Kelley's test
+/// flags cancellation (every rank branches on the same reduced values).
 IterationResult runGmres(const RowMatrix& a, const PcApply& pc,
                          const Vector& b, Vector& x, int maxIter,
                          double threshold, int kspace) {
   const Map& map = a.rowMap();
+  const lisi::comm::Comm& comm = map.comm();
   const int m = std::max(1, kspace);
   IterationResult res;
   Vector r(map), w(map), mz(map);
   std::vector<Vector> v;
   v.reserve(static_cast<std::size_t>(m) + 1);
   for (int i = 0; i <= m; ++i) v.emplace_back(map);
+  std::vector<std::span<const double>> cols;
+  for (const Vector& vi : v) cols.push_back(vi.localView());
+  std::vector<lisi::sparse::DotArgs> dots(static_cast<std::size_t>(m) + 2);
+  std::vector<double> red(static_cast<std::size_t>(m) + 2);
   std::vector<std::vector<double>> h(
       static_cast<std::size_t>(m) + 1,
       std::vector<double>(static_cast<std::size_t>(m), 0.0));
@@ -369,8 +378,7 @@ IterationResult runGmres(const RowMatrix& a, const PcApply& pc,
       res.why = AZ_normal;
       return res;
     }
-    v[0] = r;
-    v[0].update(0.0, r, 1.0 / beta);
+    v[0].scale(1.0 / beta, r);
     std::fill(g.begin(), g.end(), 0.0);
     g[0] = beta;
 
@@ -378,51 +386,68 @@ IterationResult runGmres(const RowMatrix& a, const PcApply& pc,
     bool converged = false;
     for (; j < m && res.its < maxIter; ++j) {
       ++res.its;
-      pc(v[static_cast<std::size_t>(j)], mz);   // mz = M^{-1} v_j
-      a.apply(mz, w);                           // w = A M^{-1} v_j
-      for (int i = 0; i <= j; ++i) {
-        const double hij = w.dot(v[static_cast<std::size_t>(i)]);
-        h[static_cast<std::size_t>(i)][static_cast<std::size_t>(j)] = hij;
-        w.update(-hij, v[static_cast<std::size_t>(i)], 1.0);
+      const auto ju = static_cast<std::size_t>(j);
+      {
+        lisi::obs::Span pcSpan("aztec.pc_apply");
+        pc(v[ju], mz);  // mz = M^{-1} v_j
       }
-      const double hnext = w.norm2();
-      h[static_cast<std::size_t>(j) + 1][static_cast<std::size_t>(j)] = hnext;
+      a.apply(mz, w);   // w = A M^{-1} v_j
+      double hnext = 0.0;
+      {
+        lisi::obs::Span orthogSpan("aztec.orthog");
+        // Projections on v_0..v_j and ||w||^2 in one reduction.
+        const std::span<double> wv = w.localView();
+        for (std::size_t i = 0; i <= ju; ++i) dots[i] = {wv, cols[i]};
+        dots[ju + 1] = {wv, wv};
+        lisi::sparse::distDots(
+            comm, std::span<const lisi::sparse::DotArgs>(dots.data(), ju + 2),
+            std::span<double>(red.data(), ju + 2));
+        for (std::size_t i = 0; i <= ju; ++i) h[i][ju] = red[i];
+        const double before = red[ju + 1];
+        const auto project = [&] {
+          return comm.allreduceValue(
+              lisi::sparse::maxpy(
+                  wv, std::span<const double>(red.data(), ju + 1),
+                  std::span<const std::span<const double>>(cols.data(),
+                                                           ju + 1)),
+              lisi::comm::ReduceOp::kSum);
+        };
+        double hn2 = project();
+        if (std::sqrt(hn2) <
+            lisi::sparse::kCgsReorthRatio * std::sqrt(before)) {
+          lisi::sparse::distDots(
+              comm,
+              std::span<const lisi::sparse::DotArgs>(dots.data(), ju + 1),
+              std::span<double>(red.data(), ju + 1));
+          for (std::size_t i = 0; i <= ju; ++i) h[i][ju] += red[i];
+          hn2 = project();
+        }
+        hnext = std::sqrt(hn2);
+      }
+      h[ju + 1][ju] = hnext;
       if (isBad(hnext)) {
         res.why = AZ_breakdown;
         return res;
       }
       const bool lucky = hnext <= 1e-300;
-      if (!lucky) {
-        v[static_cast<std::size_t>(j) + 1] = w;
-        v[static_cast<std::size_t>(j) + 1].update(0.0, w, 1.0 / hnext);
+      if (!lucky) v[ju + 1].scale(1.0 / hnext, w);
+      for (std::size_t i = 0; i < ju; ++i) {
+        const double t = cs[i] * h[i][ju] + sn[i] * h[i + 1][ju];
+        h[i + 1][ju] = -sn[i] * h[i][ju] + cs[i] * h[i + 1][ju];
+        h[i][ju] = t;
       }
-      for (int i = 0; i < j; ++i) {
-        const double t =
-            cs[static_cast<std::size_t>(i)] *
-                h[static_cast<std::size_t>(i)][static_cast<std::size_t>(j)] +
-            sn[static_cast<std::size_t>(i)] *
-                h[static_cast<std::size_t>(i) + 1][static_cast<std::size_t>(j)];
-        h[static_cast<std::size_t>(i) + 1][static_cast<std::size_t>(j)] =
-            -sn[static_cast<std::size_t>(i)] *
-                h[static_cast<std::size_t>(i)][static_cast<std::size_t>(j)] +
-            cs[static_cast<std::size_t>(i)] *
-                h[static_cast<std::size_t>(i) + 1][static_cast<std::size_t>(j)];
-        h[static_cast<std::size_t>(i)][static_cast<std::size_t>(j)] = t;
-      }
-      const double hjj = h[static_cast<std::size_t>(j)][static_cast<std::size_t>(j)];
+      const double hjj = h[ju][ju];
       const double denom = std::sqrt(hjj * hjj + hnext * hnext);
       if (denom == 0.0) {
         res.why = AZ_breakdown;
         return res;
       }
-      cs[static_cast<std::size_t>(j)] = hjj / denom;
-      sn[static_cast<std::size_t>(j)] = hnext / denom;
-      h[static_cast<std::size_t>(j)][static_cast<std::size_t>(j)] = denom;
-      g[static_cast<std::size_t>(j) + 1] =
-          -sn[static_cast<std::size_t>(j)] * g[static_cast<std::size_t>(j)];
-      g[static_cast<std::size_t>(j)] =
-          cs[static_cast<std::size_t>(j)] * g[static_cast<std::size_t>(j)];
-      res.resid = std::abs(g[static_cast<std::size_t>(j) + 1]);
+      cs[ju] = hjj / denom;
+      sn[ju] = hnext / denom;
+      h[ju][ju] = denom;
+      g[ju + 1] = -sn[ju] * g[ju];
+      g[ju] = cs[ju] * g[ju];
+      res.resid = std::abs(g[ju + 1]);
       if (res.resid <= threshold || lucky) {
         ++j;
         converged = true;

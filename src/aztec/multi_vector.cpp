@@ -37,10 +37,8 @@ void MultiVector::dots(const MultiVector& other, std::span<double> out) const {
   for (std::size_t k = 0; k < lanes_.size(); ++k) {
     dotArgs[k] = {lanes_[k].localView(), other.lanes_[k].localView()};
   }
-  lisi::sparse::PendingDots pending = lisi::sparse::distDotsBegin(
-      map_->comm(), std::span<const lisi::sparse::DotArgs>(dotArgs));
-  const std::span<const double> res = lisi::sparse::distDotsEnd(pending);
-  std::copy(res.begin(), res.end(), out.begin());
+  lisi::sparse::distDots(map_->comm(),
+                         std::span<const lisi::sparse::DotArgs>(dotArgs), out);
 }
 
 void MultiVector::norms2(std::span<double> out) const {

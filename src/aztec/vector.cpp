@@ -21,6 +21,13 @@ void Vector::putScalar(double value) {
   std::fill(values_.begin(), values_.end(), value);
 }
 
+void Vector::scale(double alpha, const Vector& a) {
+  LISI_CHECK(map_->sameAs(a.map()), "Vector::scale: incompatible maps");
+  for (std::size_t i = 0; i < values_.size(); ++i) {
+    values_[i] = alpha * a.values_[i];
+  }
+}
+
 void Vector::update(double alpha, const Vector& a, double beta) {
   LISI_CHECK(map_->sameAs(a.map()), "Vector::update: incompatible maps");
   for (std::size_t i = 0; i < values_.size(); ++i) {

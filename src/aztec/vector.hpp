@@ -33,6 +33,9 @@ class Vector {
   /// Set every local entry to `value`.
   void putScalar(double value);
 
+  /// this = alpha*a in one pass (Epetra's Scale(alpha, A)).
+  void scale(double alpha, const Vector& a);
+
   /// this = alpha*a + beta*this  (Epetra-style update).
   void update(double alpha, const Vector& a, double beta);
 

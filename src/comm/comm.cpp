@@ -473,9 +473,12 @@ class CollOp {
     // of this constructor, and a registered-but-unconstructed op would
     // dangle in the list.
     if (auto* checker = state_->world->checker()) {
+      // An op's buffer stays its own until the handle retires it, even
+      // when a progress sweep has already run every step: the caller may
+      // not reuse it before wait()/test() reports completion.
       std::vector<check::BufferRange> outstanding;
       for (const CollOp* op : state_->pendingColl) {
-        if (op->done() || !op->own_.empty()) continue;  // op-owned tokens
+        if (op->retired_ || !op->own_.empty()) continue;  // op-owned tokens
         outstanding.push_back({op->acc_, op->bytes_, op->tag_});
       }
       checker->onNonblockingStart(state_->worldRankOf(state_->myLocalRank),
@@ -507,6 +510,10 @@ class CollOp {
   CollOp& operator=(const CollOp&) = delete;
 
   [[nodiscard]] bool done() const { return next_ >= steps_.size(); }
+
+  /// The handle observed completion (wait() returned, or test() said so):
+  /// from here on the caller owns the buffer again.
+  void retire() { retired_ = true; }
 
   /// Execute steps until done or a receive finds no message; never blocks.
   bool advance() {
@@ -588,6 +595,7 @@ class CollOp {
   int tag_;
   std::vector<Step> steps_;
   std::size_t next_ = 0;
+  bool retired_ = false;            ///< completion observed through the handle
   std::byte* acc_;                  ///< caller's out buffer (or the token)
   std::size_t bytes_;               ///< payload bytes per message
   std::size_t count_;               ///< element count (for combine)
@@ -612,13 +620,16 @@ CollHandle::~CollHandle() = default;
 bool CollHandle::test() {
   LISI_CHECK(valid(), "test() on an empty CollHandle");
   detail::CollOp::progressAll(op_->state());
-  return op_->done();
+  if (!op_->done()) return false;
+  op_->retire();
+  return true;
 }
 
 void CollHandle::wait() {
   LISI_CHECK(valid(), "wait() on an empty CollHandle");
   obs::Span span("coll.wait");
   op_->waitDone();
+  op_->retire();
 }
 
 int Comm::rank() const {

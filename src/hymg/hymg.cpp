@@ -778,7 +778,8 @@ SolveInfo Solver::solve(std::span<const double> b, std::span<double> x,
       info.cycles = c + 1;
       a.spmv(x, std::span<double>(r));
       for (std::size_t i = 0; i < r.size(); ++i) r[i] = b[i] - r[i];
-      info.relResidual = lisi::sparse::distNorm2(impl_->comm, r) / bnorm;
+      info.residualNorm = lisi::sparse::distNorm2(impl_->comm, r);
+      info.relResidual = info.residualNorm / bnorm;
       if (info.relResidual <= rtol) {
         info.converged = true;
         return info;
@@ -794,7 +795,8 @@ SolveInfo Solver::solve(std::span<const double> b, std::span<double> x,
     info.cycles = c + 1;
     a.spmv(x, std::span<double>(r));
     for (std::size_t i = 0; i < r.size(); ++i) r[i] = b[i] - r[i];
-    info.relResidual = lisi::sparse::distNorm2(impl_->comm, r) / bnorm;
+    info.residualNorm = lisi::sparse::distNorm2(impl_->comm, r);
+    info.relResidual = info.residualNorm / bnorm;
     if (info.relResidual <= rtol) {
       info.converged = true;
       return info;

@@ -74,7 +74,10 @@ struct Options {
 /// Result of an iterative MG solve.
 struct SolveInfo {
   int cycles = 0;
-  double relResidual = 0.0;  ///< final ||b-Ax|| / ||b||
+  double relResidual = 0.0;   ///< final ||b-Ax|| / ||b||
+  /// ||b-Ax|| against fineMatrix() after the last cycle (0 when b == 0;
+  /// not computed when maxCycles < 1)
+  double residualNorm = 0.0;
   bool converged = false;
 };
 

@@ -570,19 +570,21 @@ int KSPSolveMulti(KSP ksp, std::span<const double> bLocal,
     std::vector<double> z(n * nv);
     a->spmvMulti(xLocal, std::span<double>(r), nRhs);
     for (std::size_t i = 0; i < n * nv; ++i) r[i] = bLocal[i] - r[i];
+    std::vector<std::size_t> lanes(nv);
+    for (std::size_t k = 0; k < nv; ++k) lanes[k] = k;
+    ksp->pc->applyLanes(r, z, lanes, n);
     std::vector<lisi::sparse::DotArgs> dots;
     dots.reserve(2 * nv);
     for (std::size_t k = 0; k < nv; ++k) {
       const std::span<const double> rk =
           std::span<const double>(r).subspan(k * n, n);
-      const std::span<double> zk = std::span<double>(z).subspan(k * n, n);
-      ksp->pc->apply(rk, zk);
+      const std::span<const double> zk =
+          std::span<const double>(z).subspan(k * n, n);
       dots.push_back({rk, rk});
       dots.push_back({zk, zk});
     }
-    lisi::sparse::PendingDots pending =
-        lisi::sparse::distDotsBegin(ksp->comm, dots);
-    const std::span<const double> norms = lisi::sparse::distDotsEnd(pending);
+    std::vector<double> norms(dots.size());
+    lisi::sparse::distDots(ksp->comm, dots, norms);
     SolveReport agg;
     for (std::size_t k = 0; k < nv; ++k) {
       reps[k].residualNorm = std::sqrt(norms[2 * k + 1]);

@@ -1,12 +1,13 @@
-// Blocked (multi-RHS) Krylov kernels: CG and GMRES(m) over a block of
-// right-hand sides advanced in lockstep.
+// Blocked (multi-RHS) CG over a block of right-hand sides advanced in
+// lockstep.  Blocked GMRES shares one kernel with the single-RHS solve
+// (pksp_gmres.cpp) and follows the same design.
 //
 // Why a dedicated path: solving k systems with the same operator one after
 // another pays k halo exchanges per "iteration column" and k latency-bound
 // allreduces per reduction point.  Advancing all k lanes together turns
 // that into ONE DistCsrMatrix::spmvMulti exchange (k values per ghost
 // index, same message count as a single spmv) and ONE fused allreduce per
-// reduction point (k lanes in a single distDotsBegin batch).  On small
+// reduction point (k lanes in a single distDots batch).  On small
 // systems, where the per-solve cost is dominated by synchronization, this
 // is where the service layer's batching win comes from.
 //
@@ -35,29 +36,9 @@ namespace {
 using lisi::comm::Comm;
 using lisi::sparse::DistCsrMatrix;
 using lisi::sparse::DotArgs;
-using lisi::sparse::distDotsBegin;
-using lisi::sparse::distDotsEnd;
-using lisi::sparse::PendingDots;
+using lisi::sparse::distDots;
 
 using Vec = std::vector<double>;
-
-bool isBad(double v) { return std::isnan(v) || std::isinf(v); }
-
-/// Convergence bookkeeping per lane (same criterion as pksp_krylov.cpp).
-struct Monitor {
-  double target = 0.0;
-  double atol = 0.0;
-  void start(double z0, const Tolerances& tol) {
-    target = tol.rtol * z0;
-    atol = tol.atol;
-  }
-  [[nodiscard]] PkspConvergedReason test(double znorm) const {
-    if (isBad(znorm)) return PKSP_DIVERGED_NAN;
-    if (znorm <= atol) return PKSP_CONVERGED_ATOL;
-    if (znorm <= target) return PKSP_CONVERGED_RTOL;
-    return PKSP_ITERATING;
-  }
-};
 
 /// Lane `v` of a vector-major block over `n` local rows.
 std::span<double> lane(Vec& a, std::size_t v, std::size_t n) {
@@ -85,9 +66,9 @@ std::vector<SolveReport> runBlockedCg(const Comm& comm, const DistCsrMatrix& a,
   // R = B - A X: one halo exchange seeds every lane's residual.
   a.spmvMulti(x, std::span<double>(r), nRhs);
   for (std::size_t i = 0; i < n * nv; ++i) r[i] = b[i] - r[i];
-  for (std::size_t v = 0; v < nv; ++v) {
-    m.apply(lane(r, v, n), lane(z, v, n));
-  }
+  std::vector<std::size_t> lanes(nv);
+  for (std::size_t v = 0; v < nv; ++v) lanes[v] = v;
+  m.applyLanes(r, z, lanes, n);
   // <z,z> and <r,z> for every lane share one fused allreduce.
   std::vector<DotArgs> dots;
   dots.reserve(2 * nv);
@@ -95,8 +76,9 @@ std::vector<SolveReport> runBlockedCg(const Comm& comm, const DistCsrMatrix& a,
     dots.push_back({lane(z, v, n), lane(z, v, n)});
     dots.push_back({lane(r, v, n), lane(z, v, n)});
   }
-  PendingDots pending = distDotsBegin(comm, dots);
-  const std::span<const double> init = distDotsEnd(pending);
+  Vec red(2 * nv);
+  distDots(comm, dots, red);
+  const std::span<const double> init(red);
   double maxZ = 0.0;
   for (std::size_t v = 0; v < nv; ++v) {
     const double znorm = std::sqrt(init[2 * v]);
@@ -123,7 +105,7 @@ std::vector<SolveReport> runBlockedCg(const Comm& comm, const DistCsrMatrix& a,
   };
 
   for (int it = 1; it <= tol.maxits; ++it) {
-    std::vector<std::size_t> lanes;
+    lanes.clear();
     for (std::size_t v = 0; v < nv; ++v) {
       if (active[v]) lanes.push_back(v);
     }
@@ -136,8 +118,8 @@ std::vector<SolveReport> runBlockedCg(const Comm& comm, const DistCsrMatrix& a,
     for (const std::size_t v : lanes) {
       dots.push_back({lane(p, v, n), lane(ap, v, n)});
     }
-    pending = distDotsBegin(comm, dots);
-    const std::span<const double> paps = distDotsEnd(pending);
+    const std::span<double> paps(red.data(), dots.size());
+    distDots(comm, dots, paps);
     for (std::size_t k = 0; k < lanes.size(); ++k) {
       const std::size_t v = lanes[k];
       const double pap = paps[k];
@@ -162,16 +144,14 @@ std::vector<SolveReport> runBlockedCg(const Comm& comm, const DistCsrMatrix& a,
                 lanes.end());
     if (lanes.empty()) return reps;
 
-    for (const std::size_t v : lanes) {
-      m.apply(lane(r, v, n), lane(z, v, n));
-    }
+    m.applyLanes(r, z, lanes, n);
     dots.clear();
     for (const std::size_t v : lanes) {
       dots.push_back({lane(z, v, n), lane(z, v, n)});
       dots.push_back({lane(r, v, n), lane(z, v, n)});
     }
-    pending = distDotsBegin(comm, dots);
-    const std::span<const double> zzrz = distDotsEnd(pending);
+    const std::span<double> zzrz(red.data(), dots.size());
+    distDots(comm, dots, zzrz);
     maxZ = 0.0;
     for (std::size_t k = 0; k < lanes.size(); ++k) {
       const std::size_t v = lanes[k];
@@ -202,248 +182,6 @@ std::vector<SolveReport> runBlockedCg(const Comm& comm, const DistCsrMatrix& a,
     if (active[v]) reps[v].reason = PKSP_DIVERGED_ITS;
   }
   return reps;
-}
-
-std::vector<SolveReport> runBlockedGmres(const Comm& comm,
-                                         const DistCsrMatrix& aMat,
-                                         const Preconditioner& m,
-                                         std::span<const double> b,
-                                         std::span<double> x, int nRhs,
-                                         const Tolerances& tol, int restart) {
-  const auto n = static_cast<std::size_t>(aMat.localRows());
-  const auto nv = static_cast<std::size_t>(nRhs);
-  const int mr = std::max(1, restart);
-  const auto mru = static_cast<std::size_t>(mr);
-
-  std::vector<SolveReport> reps(nv);
-  std::vector<Monitor> mons(nv);
-  std::vector<int> its(nv, 0);         // per-lane iteration count (maxits cap)
-  std::vector<char> done(nv, 0);       // lane fully finished (any reason)
-
-  Vec r(n * nv), blockIn(n * nv), w(n * nv), wz(n * nv);
-  // Per-lane Krylov basis and Hessenberg factors (identical shapes to the
-  // single-RHS runGmres so the per-lane arithmetic matches it exactly).
-  std::vector<std::vector<Vec>> basis(
-      nv, std::vector<Vec>(mru + 1, Vec(n)));
-  std::vector<std::vector<Vec>> h(
-      nv, std::vector<Vec>(mru + 1, Vec(mru, 0.0)));
-  std::vector<Vec> cs(nv, Vec(mru, 0.0));
-  std::vector<Vec> sn(nv, Vec(mru, 0.0));
-  std::vector<Vec> g(nv, Vec(mru + 1, 0.0));
-
-  std::vector<DotArgs> dots;
-  bool first = true;
-
-  while (true) {
-    std::vector<std::size_t> running;
-    for (std::size_t v = 0; v < nv; ++v) {
-      if (!done[v]) running.push_back(v);
-    }
-    if (running.empty()) return reps;
-
-    // ---- cycle start: preconditioned residual of every running lane ----
-    aMat.spmvMulti(std::span<const double>(x), std::span<double>(r), nRhs);
-    for (std::size_t i = 0; i < n * nv; ++i) r[i] = b[i] - r[i];
-    for (const std::size_t v : running) {
-      m.apply(lane(r, v, n), lane(wz, v, n));
-    }
-    dots.clear();
-    for (const std::size_t v : running) {
-      dots.push_back({lane(wz, v, n), lane(wz, v, n)});
-    }
-    PendingDots pending = distDotsBegin(comm, dots);
-    const std::span<const double> zz = distDotsEnd(pending);
-    std::vector<double> beta(nv, 0.0);
-    double maxBeta = 0.0;
-    for (std::size_t k = 0; k < running.size(); ++k) {
-      const std::size_t v = running[k];
-      beta[v] = std::sqrt(zz[k]);
-      maxBeta = std::max(maxBeta, beta[v]);
-      if (first) {
-        mons[v].start(beta[v], tol);
-        reps[v].residualNorm = beta[v];
-        const PkspConvergedReason early = mons[v].test(beta[v]);
-        if (early != PKSP_ITERATING) {
-          reps[v].reason = early;
-          done[v] = 1;
-          continue;
-        }
-      }
-      if (isBad(beta[v])) {
-        reps[v].reason = PKSP_DIVERGED_NAN;
-        done[v] = 1;
-      } else if (beta[v] == 0.0) {
-        reps[v].reason = PKSP_CONVERGED_ATOL;
-        done[v] = 1;
-      }
-    }
-    if (first && tol.monitor) tol.monitor(0, maxBeta);
-    first = false;
-    running.erase(std::remove_if(running.begin(), running.end(),
-                                 [&](std::size_t v) { return done[v] != 0; }),
-                  running.end());
-    if (running.empty()) return reps;
-
-    // Seed each running lane's cycle; lanes freeze out of the cycle as they
-    // converge, hit a lucky breakdown, or exhaust their iteration budget.
-    std::vector<char> inCycle(nv, 0);
-    std::vector<int> jTaken(nv, 0);
-    std::vector<PkspConvergedReason> cycleReason(nv, PKSP_ITERATING);
-    std::vector<char> noUpdate(nv, 0);
-    for (const std::size_t v : running) {
-      inCycle[v] = 1;
-      const std::span<const double> zv = lane(wz, v, n);
-      for (std::size_t i = 0; i < n; ++i) basis[v][0][i] = zv[i] / beta[v];
-      std::fill(g[v].begin(), g[v].end(), 0.0);
-      g[v][0] = beta[v];
-    }
-
-    for (int j = 0; j < mr; ++j) {
-      const auto ju = static_cast<std::size_t>(j);
-      std::vector<std::size_t> stepLanes;
-      for (const std::size_t v : running) {
-        if (inCycle[v] && its[v] < tol.maxits) stepLanes.push_back(v);
-      }
-      if (stepLanes.empty()) break;
-
-      // Block matvec over the j-th basis vectors; lanes not stepping
-      // contribute zero columns so the exchange count stays one.
-      std::fill(blockIn.begin(), blockIn.end(), 0.0);
-      for (const std::size_t v : stepLanes) {
-        ++its[v];
-        ++jTaken[v];
-        std::copy(basis[v][ju].begin(), basis[v][ju].end(),
-                  lane(blockIn, v, n).begin());
-      }
-      aMat.spmvMulti(std::span<const double>(blockIn), std::span<double>(w),
-                     nRhs);
-      for (const std::size_t v : stepLanes) {
-        m.apply(lane(w, v, n), lane(wz, v, n));
-      }
-      // Modified Gram-Schmidt: the per-column dot fuses across lanes (the
-      // i-recurrence itself stays sequential, exactly as single-RHS MGS).
-      for (int i = 0; i <= j; ++i) {
-        const auto iu = static_cast<std::size_t>(i);
-        dots.clear();
-        for (const std::size_t v : stepLanes) {
-          dots.push_back({lane(wz, v, n), std::span<const double>(basis[v][iu])});
-        }
-        pending = distDotsBegin(comm, dots);
-        const std::span<const double> hs = distDotsEnd(pending);
-        for (std::size_t k = 0; k < stepLanes.size(); ++k) {
-          const std::size_t v = stepLanes[k];
-          const double hij = hs[k];
-          h[v][iu][ju] = hij;
-          std::span<double> wzv = lane(wz, v, n);
-          for (std::size_t t = 0; t < n; ++t) wzv[t] -= hij * basis[v][iu][t];
-        }
-      }
-      dots.clear();
-      for (const std::size_t v : stepLanes) {
-        dots.push_back({lane(wz, v, n), lane(wz, v, n)});
-      }
-      pending = distDotsBegin(comm, dots);
-      const std::span<const double> hn = distDotsEnd(pending);
-
-      int maxIts = 0;
-      double maxResid = 0.0;
-      for (std::size_t k = 0; k < stepLanes.size(); ++k) {
-        const std::size_t v = stepLanes[k];
-        const double hnext = std::sqrt(hn[k]);
-        h[v][ju + 1][ju] = hnext;
-        if (isBad(hnext)) {
-          reps[v].reason = PKSP_DIVERGED_NAN;
-          reps[v].iterations = its[v];
-          done[v] = 1;
-          inCycle[v] = 0;
-          noUpdate[v] = 1;
-          continue;
-        }
-        const bool luckyBreakdown = hnext <= 1e-300;
-        if (!luckyBreakdown) {
-          const std::span<const double> wzv = lane(wz, v, n);
-          for (std::size_t t = 0; t < n; ++t) {
-            basis[v][ju + 1][t] = wzv[t] / hnext;
-          }
-        }
-        for (int i = 0; i < j; ++i) {
-          const auto iu = static_cast<std::size_t>(i);
-          const double t =
-              cs[v][iu] * h[v][iu][ju] + sn[v][iu] * h[v][iu + 1][ju];
-          h[v][iu + 1][ju] =
-              -sn[v][iu] * h[v][iu][ju] + cs[v][iu] * h[v][iu + 1][ju];
-          h[v][iu][ju] = t;
-        }
-        const double hjj = h[v][ju][ju];
-        const double denom = std::sqrt(hjj * hjj + hnext * hnext);
-        if (denom == 0.0) {
-          reps[v].reason = PKSP_DIVERGED_BREAKDOWN;
-          reps[v].iterations = its[v];
-          done[v] = 1;
-          inCycle[v] = 0;
-          noUpdate[v] = 1;
-          continue;
-        }
-        cs[v][ju] = hjj / denom;
-        sn[v][ju] = hnext / denom;
-        h[v][ju][ju] = denom;
-        h[v][ju + 1][ju] = 0.0;
-        g[v][ju + 1] = -sn[v][ju] * g[v][ju];
-        g[v][ju] = cs[v][ju] * g[v][ju];
-
-        const double resid = std::abs(g[v][ju + 1]);
-        reps[v].residualNorm = resid;
-        maxResid = std::max(maxResid, resid);
-        maxIts = std::max(maxIts, its[v]);
-        cycleReason[v] = mons[v].test(resid);
-        if (cycleReason[v] != PKSP_ITERATING || luckyBreakdown) {
-          inCycle[v] = 0;  // lane's cycle ends; x update happens below
-        }
-      }
-      if (tol.monitor && maxIts > 0) tol.monitor(maxIts, maxResid);
-    }
-
-    // ---- per-lane triangular solve + solution update -------------------
-    for (const std::size_t v : running) {
-      if (done[v] || noUpdate[v] || jTaken[v] == 0) continue;
-      const int jv = jTaken[v];
-      Vec y(static_cast<std::size_t>(jv), 0.0);
-      bool broke = false;
-      for (int i = jv - 1; i >= 0; --i) {
-        const auto iu = static_cast<std::size_t>(i);
-        double acc = g[v][iu];
-        for (int k = i + 1; k < jv; ++k) {
-          acc -= h[v][iu][static_cast<std::size_t>(k)] *
-                 y[static_cast<std::size_t>(k)];
-        }
-        const double hii = h[v][iu][iu];
-        if (hii == 0.0) {
-          reps[v].reason = PKSP_DIVERGED_BREAKDOWN;
-          reps[v].iterations = its[v];
-          done[v] = 1;
-          broke = true;
-          break;
-        }
-        y[iu] = acc / hii;
-      }
-      if (broke) continue;
-      std::span<double> xv = lane(x, v, n);
-      for (int i = 0; i < jv; ++i) {
-        const auto iu = static_cast<std::size_t>(i);
-        for (std::size_t t = 0; t < n; ++t) xv[t] += y[iu] * basis[v][iu][t];
-      }
-      reps[v].iterations = its[v];
-      if (cycleReason[v] != PKSP_ITERATING) {
-        reps[v].reason = cycleReason[v];
-        done[v] = 1;
-      } else if (its[v] >= tol.maxits) {
-        reps[v].reason = PKSP_DIVERGED_ITS;
-        done[v] = 1;
-      }
-      // else: lane restarts next cycle (including lucky breakdowns, whose
-      // recomputed residual then converges through the ATOL test).
-    }
-  }
 }
 
 }  // namespace pksp::detail

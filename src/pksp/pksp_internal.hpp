@@ -3,6 +3,7 @@
 // pksp sources and white-box tests.
 #pragma once
 
+#include <cmath>
 #include <functional>
 #include <memory>
 #include <string>
@@ -63,6 +64,19 @@ class Preconditioner {
   virtual ~Preconditioner() = default;
   virtual void apply(std::span<const double> r, std::span<double> z) const = 0;
 
+  /// z_v = M^{-1} r_v for each listed lane v of the vector-major blocks r
+  /// and z (lane v occupies [v*n, (v+1)*n)).  Each lane must come out
+  /// bitwise identical to apply() on it; the default does exactly that,
+  /// lane by lane.  Overrides interleave the lanes to share one pass over
+  /// the preconditioner's data.
+  virtual void applyLanes(std::span<const double> r, std::span<double> z,
+                          std::span<const std::size_t> lanes,
+                          std::size_t n) const {
+    for (const std::size_t v : lanes) {
+      apply(r.subspan(v * n, n), z.subspan(v * n, n));
+    }
+  }
+
   /// Same-pattern value refresh: re-derive the numeric content from `a`
   /// over the existing storage layout (no structural rebuild).  Returns
   /// false when the refresh is unsupported or `a` no longer matches the
@@ -105,6 +119,7 @@ struct SolveReport {
   int iterations = 0;
   double residualNorm = 0.0;  ///< preconditioned norm tracked by the method
   PkspConvergedReason reason = PKSP_ITERATING;
+  int reorthogonalizations = 0;  ///< GMRES steps that ran a second CGS pass
 };
 
 /// Common tolerance bundle plus the optional per-iteration monitor
@@ -116,6 +131,34 @@ struct Tolerances {
   int maxits = 10000;
   std::function<void(int, double)> monitor;
 };
+
+inline bool isBad(double v) { return std::isnan(v) || std::isinf(v); }
+
+/// Convergence bookkeeping shared by every Krylov kernel:
+/// ||z_k|| <= max(rtol * ||z_0||, atol).
+struct Monitor {
+  double target = 0.0;
+  double atol = 0.0;
+
+  /// Initialize from the initial preconditioned residual norm.
+  void start(double z0, const Tolerances& tol) {
+    target = tol.rtol * z0;
+    atol = tol.atol;
+  }
+  [[nodiscard]] PkspConvergedReason test(double znorm) const {
+    if (isBad(znorm)) return PKSP_DIVERGED_NAN;
+    if (znorm <= atol) return PKSP_CONVERGED_ATOL;
+    if (znorm <= target) return PKSP_CONVERGED_RTOL;
+    return PKSP_ITERATING;
+  }
+};
+
+/// r = b - A x.
+inline void applyResidual(const LinearOperator& a, std::span<const double> b,
+                          std::span<const double> x, std::vector<double>& r) {
+  a.apply(x, std::span<double>(r));
+  for (std::size_t i = 0; i < r.size(); ++i) r[i] = b[i] - r[i];
+}
 
 // Krylov kernels (x holds the initial guess on entry, solution on exit).
 SolveReport runCg(const lisi::comm::Comm& comm, const LinearOperator& a,

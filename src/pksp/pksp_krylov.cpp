@@ -1,7 +1,7 @@
-// Distributed Krylov kernels for PKSP.  All methods use left
-// preconditioning and track the preconditioned residual norm; convergence
-// is declared when  ||z_k|| <= max(rtol * ||z_0||, atol)  where
-// z_k = M^{-1}(b - A x_k).
+// Distributed Krylov kernels for PKSP: CG, BiCGStab and Richardson
+// (GMRES lives in pksp_gmres.cpp).  All methods use left preconditioning
+// and track the preconditioned residual norm; convergence is declared when
+// ||z_k|| <= max(rtol * ||z_0||, atol)  where  z_k = M^{-1}(b - A x_k).
 #include <array>
 #include <cmath>
 #include <limits>
@@ -18,32 +18,6 @@ using lisi::sparse::distDot2;
 using lisi::sparse::distNorm2;
 
 using Vec = std::vector<double>;
-
-bool isBad(double v) { return std::isnan(v) || std::isinf(v); }
-
-/// Shared convergence bookkeeping.
-struct Monitor {
-  double target = 0.0;
-  double atol = 0.0;
-
-  /// Initialize from the initial preconditioned residual norm.
-  void start(double z0, const Tolerances& tol) {
-    target = tol.rtol * z0;
-    atol = tol.atol;
-  }
-  [[nodiscard]] PkspConvergedReason test(double znorm) const {
-    if (isBad(znorm)) return PKSP_DIVERGED_NAN;
-    if (znorm <= atol) return PKSP_CONVERGED_ATOL;
-    if (znorm <= target) return PKSP_CONVERGED_RTOL;
-    return PKSP_ITERATING;
-  }
-};
-
-void applyResidual(const LinearOperator& a, std::span<const double> b,
-                   std::span<const double> x, Vec& r) {
-  a.apply(x, std::span<double>(r));
-  for (std::size_t i = 0; i < r.size(); ++i) r[i] = b[i] - r[i];
-}
 
 }  // namespace
 
@@ -110,160 +84,6 @@ SolveReport runCg(const Comm& comm, const LinearOperator& a,
   }
   rep.reason = PKSP_DIVERGED_ITS;
   return rep;
-}
-
-SolveReport runGmres(const Comm& comm, const LinearOperator& a,
-                     const Preconditioner& m, std::span<const double> b,
-                     std::span<double> x, const Tolerances& tol, int restart) {
-  const std::size_t n = x.size();
-  const int mr = std::max(1, restart);
-  SolveReport rep;
-  Vec r(n), z(n), w(n), wz(n);
-  // Krylov basis (mr+1 local vectors) and Hessenberg factors.
-  std::vector<Vec> v(static_cast<std::size_t>(mr) + 1, Vec(n));
-  std::vector<Vec> h(static_cast<std::size_t>(mr) + 1,
-                     Vec(static_cast<std::size_t>(mr), 0.0));
-  Vec cs(static_cast<std::size_t>(mr), 0.0);
-  Vec sn(static_cast<std::size_t>(mr), 0.0);
-  Vec g(static_cast<std::size_t>(mr) + 1, 0.0);
-
-  Monitor mon;
-  bool first = true;
-  int totalIts = 0;
-
-  while (true) {
-    applyResidual(a, b, x, r);
-    m.apply(std::span<const double>(r), std::span<double>(z));
-    double beta = distNorm2(comm, std::span<const double>(z));
-    if (first) {
-      mon.start(beta, tol);
-      first = false;
-      rep.residualNorm = beta;
-      if (tol.monitor) tol.monitor(0, beta);
-      const PkspConvergedReason early = mon.test(beta);
-      if (early != PKSP_ITERATING) {
-        rep.reason = early;
-        return rep;
-      }
-    }
-    if (isBad(beta)) {
-      rep.reason = PKSP_DIVERGED_NAN;
-      return rep;
-    }
-    if (beta == 0.0) {
-      rep.reason = PKSP_CONVERGED_ATOL;
-      return rep;
-    }
-    for (std::size_t i = 0; i < n; ++i) {
-      v[0][i] = z[i] / beta;
-    }
-    std::fill(g.begin(), g.end(), 0.0);
-    g[0] = beta;
-
-    int j = 0;
-    PkspConvergedReason innerReason = PKSP_ITERATING;
-    for (; j < mr && totalIts < tol.maxits; ++j) {
-      ++totalIts;
-      a.apply(std::span<const double>(v[static_cast<std::size_t>(j)]),
-              std::span<double>(w));
-      m.apply(std::span<const double>(w), std::span<double>(wz));
-      // Modified Gram-Schmidt.
-      for (int i = 0; i <= j; ++i) {
-        const double hij =
-            distDot(comm, std::span<const double>(wz),
-                    std::span<const double>(v[static_cast<std::size_t>(i)]));
-        h[static_cast<std::size_t>(i)][static_cast<std::size_t>(j)] = hij;
-        for (std::size_t k = 0; k < n; ++k) {
-          wz[k] -= hij * v[static_cast<std::size_t>(i)][k];
-        }
-      }
-      const double hnext = distNorm2(comm, std::span<const double>(wz));
-      h[static_cast<std::size_t>(j) + 1][static_cast<std::size_t>(j)] = hnext;
-      if (isBad(hnext)) {
-        rep.reason = PKSP_DIVERGED_NAN;
-        rep.iterations = totalIts;
-        return rep;
-      }
-      const bool luckyBreakdown = hnext <= 1e-300;
-      if (!luckyBreakdown) {
-        for (std::size_t k = 0; k < n; ++k) {
-          v[static_cast<std::size_t>(j) + 1][k] = wz[k] / hnext;
-        }
-      }
-      // Apply existing Givens rotations to the new column.
-      for (int i = 0; i < j; ++i) {
-        const double t =
-            cs[static_cast<std::size_t>(i)] *
-                h[static_cast<std::size_t>(i)][static_cast<std::size_t>(j)] +
-            sn[static_cast<std::size_t>(i)] *
-                h[static_cast<std::size_t>(i) + 1][static_cast<std::size_t>(j)];
-        h[static_cast<std::size_t>(i) + 1][static_cast<std::size_t>(j)] =
-            -sn[static_cast<std::size_t>(i)] *
-                h[static_cast<std::size_t>(i)][static_cast<std::size_t>(j)] +
-            cs[static_cast<std::size_t>(i)] *
-                h[static_cast<std::size_t>(i) + 1][static_cast<std::size_t>(j)];
-        h[static_cast<std::size_t>(i)][static_cast<std::size_t>(j)] = t;
-      }
-      // New rotation to annihilate h[j+1][j].
-      const double hjj = h[static_cast<std::size_t>(j)][static_cast<std::size_t>(j)];
-      const double denom = std::sqrt(hjj * hjj + hnext * hnext);
-      if (denom == 0.0) {
-        rep.reason = PKSP_DIVERGED_BREAKDOWN;
-        rep.iterations = totalIts;
-        return rep;
-      }
-      cs[static_cast<std::size_t>(j)] = hjj / denom;
-      sn[static_cast<std::size_t>(j)] = hnext / denom;
-      h[static_cast<std::size_t>(j)][static_cast<std::size_t>(j)] = denom;
-      h[static_cast<std::size_t>(j) + 1][static_cast<std::size_t>(j)] = 0.0;
-      g[static_cast<std::size_t>(j) + 1] =
-          -sn[static_cast<std::size_t>(j)] * g[static_cast<std::size_t>(j)];
-      g[static_cast<std::size_t>(j)] =
-          cs[static_cast<std::size_t>(j)] * g[static_cast<std::size_t>(j)];
-
-      const double resid = std::abs(g[static_cast<std::size_t>(j) + 1]);
-      if (tol.monitor) tol.monitor(totalIts, resid);
-      rep.residualNorm = resid;
-      innerReason = mon.test(resid);
-      if (innerReason != PKSP_ITERATING || luckyBreakdown) {
-        ++j;  // include this column in the update
-        break;
-      }
-    }
-
-    // Solve the j-by-j triangular system and update x.
-    Vec y(static_cast<std::size_t>(j), 0.0);
-    for (int i = j - 1; i >= 0; --i) {
-      double acc = g[static_cast<std::size_t>(i)];
-      for (int k = i + 1; k < j; ++k) {
-        acc -= h[static_cast<std::size_t>(i)][static_cast<std::size_t>(k)] *
-               y[static_cast<std::size_t>(k)];
-      }
-      const double hii = h[static_cast<std::size_t>(i)][static_cast<std::size_t>(i)];
-      if (hii == 0.0) {
-        rep.reason = PKSP_DIVERGED_BREAKDOWN;
-        rep.iterations = totalIts;
-        return rep;
-      }
-      y[static_cast<std::size_t>(i)] = acc / hii;
-    }
-    for (int i = 0; i < j; ++i) {
-      for (std::size_t k = 0; k < n; ++k) {
-        x[k] += y[static_cast<std::size_t>(i)] *
-                v[static_cast<std::size_t>(i)][k];
-      }
-    }
-    rep.iterations = totalIts;
-    if (innerReason != PKSP_ITERATING) {
-      rep.reason = innerReason;
-      return rep;
-    }
-    if (totalIts >= tol.maxits) {
-      rep.reason = PKSP_DIVERGED_ITS;
-      return rep;
-    }
-    // else: restart.
-  }
 }
 
 SolveReport runBiCgStab(const Comm& comm, const LinearOperator& a,

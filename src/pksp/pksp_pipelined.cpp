@@ -33,31 +33,6 @@ using lisi::sparse::PendingDots;
 
 using Vec = std::vector<double>;
 
-bool isBad(double v) { return std::isnan(v) || std::isinf(v); }
-
-/// Same convergence bookkeeping as the classic kernels (pksp_krylov.cpp).
-struct Monitor {
-  double target = 0.0;
-  double atol = 0.0;
-
-  void start(double z0, const Tolerances& tol) {
-    target = tol.rtol * z0;
-    atol = tol.atol;
-  }
-  [[nodiscard]] PkspConvergedReason test(double znorm) const {
-    if (isBad(znorm)) return PKSP_DIVERGED_NAN;
-    if (znorm <= atol) return PKSP_CONVERGED_ATOL;
-    if (znorm <= target) return PKSP_CONVERGED_RTOL;
-    return PKSP_ITERATING;
-  }
-};
-
-void applyResidual(const LinearOperator& a, std::span<const double> b,
-                   std::span<const double> x, Vec& r) {
-  a.apply(x, std::span<double>(r));
-  for (std::size_t i = 0; i < r.size(); ++i) r[i] = b[i] - r[i];
-}
-
 std::span<const double> cspan(const Vec& v) {
   return std::span<const double>(v);
 }

@@ -107,6 +107,7 @@ struct SolverService::Pending {
   SolveRequest req;
   std::promise<SolveResult> promise;
   Clock::time_point enqueued;
+  bool bypassed = false;  ///< passed over once at the queue front
 };
 
 /// One unit of session work: the lanes of a blocked multi-RHS solve.
@@ -239,7 +240,8 @@ void SolverService::failAllQueued(const std::string& reason) {
   }
 }
 
-std::shared_ptr<SolverService::Batch> SolverService::popBatch() {
+std::shared_ptr<SolverService::Batch> SolverService::popBatch(
+    const Batch* last) {
   support::CondLock lock(mutex_);
   // Manual wait loop rather than the predicate overload: the analysis
   // cannot see the capability inside a predicate lambda, and the loop body
@@ -247,15 +249,32 @@ std::shared_ptr<SolverService::Batch> SolverService::popBatch() {
   while (!stopping_ && queue_.empty()) cv_.wait(lock.native());
   if (queue_.empty()) return nullptr;  // stopping and fully drained
 
+  // Operator affinity: start from the first request that can share the
+  // operator this session served last, so its component keeps its setup
+  // instead of re-adapting on every switch.  The front request may be
+  // passed over once; after that it is served next, whatever it holds.
+  auto first = queue_.begin();
+  if (last != nullptr && !(*first)->bypassed) {
+    const SolveRequest& prev = last->lanes.front()->req;
+    const auto affine =
+        std::find_if(queue_.begin(), queue_.end(),
+                     [&](const auto& q) { return batchable(prev, q->req); });
+    if (affine != queue_.end() && affine != first) {
+      (*first)->bypassed = true;
+      first = affine;
+    }
+  }
+
   auto batch = std::make_shared<Batch>();
   batch->dequeued = Clock::now();
-  batch->lanes.push_back(std::move(queue_.front()));
-  queue_.pop_front();
-  // Greedy same-operator batching: pull every still-queued request that
+  batch->lanes.push_back(std::move(*first));
+  auto it = queue_.erase(first);
+  // Greedy same-operator batching: pull every later queued request that
   // can share this solve, up to the batch window, preserving the relative
-  // order of everything left behind.
+  // order of everything left behind.  (Requests ahead of an affine start
+  // cannot share it: batchable is an equivalence.)
   const SolveRequest& key = batch->lanes.front()->req;
-  for (auto it = queue_.begin();
+  for (;
        it != queue_.end() &&
        batch->lanes.size() < static_cast<std::size_t>(cfg_.batchWindow);) {
     if (batchable(key, (*it)->req)) {
@@ -335,19 +354,28 @@ void SolverService::serveBatch(const comm::Comm& sc, int session,
     rc = sc.allreduceValue(solveRc, comm::ReduceOp::kMax);
   }
 
+  // One gatherv carries every lane: the leader receives each rank's
+  // vector-major block (lane k's rows at [k*count, (k+1)*count)) and
+  // scatters the lanes into global solutions by the known row partition.
   std::vector<std::vector<double>> gathered;
   if (rc == 0) {
-    gathered.reserve(static_cast<std::size_t>(nv));
-    for (int k = 0; k < nv; ++k) {
-      gathered.push_back(sc.gatherv(
-          std::span<const double>(x.data() + static_cast<std::size_t>(k) * m,
-                                  m),
-          0));
+    const std::vector<double> all = sc.gatherv(std::span<const double>(x), 0);
+    if (sc.rank() == 0) {
+      gathered.assign(static_cast<std::size_t>(nv),
+                      std::vector<double>(static_cast<std::size_t>(n)));
+      const double* src = all.data();
+      for (int r = 0; r < sc.size(); ++r) {
+        const RowRange rrR = rowRange(n, r, sc.size());
+        for (auto& lane : gathered) {
+          std::copy_n(src, rrR.count, lane.begin() + rrR.start);
+          src += rrR.count;
+        }
+      }
     }
   }
 
   if (sc.rank() != 0) return;
-  batches_.fetch_add(1, std::memory_order_relaxed);
+  const long long index = batches_.fetch_add(1, std::memory_order_relaxed);
   obs::count("service.batches");
   obs::count("service.lanes", nv);
   const Clock::time_point done = Clock::now();
@@ -356,6 +384,7 @@ void SolverService::serveBatch(const comm::Comm& sc, int session,
     SolveResult res;
     res.session = session;
     res.batchLanes = nv;
+    res.batchIndex = index;
     res.queueSeconds = secondsSince(lane.enqueued, batch.dequeued);
     res.solveSeconds = secondsSince(batch.dequeued, done);
     if (rc == 0) {
@@ -380,11 +409,11 @@ void SolverService::rankBody(comm::Comm& world) {
 
   SessionWorker worker;
   worker.handle = comm::registerHandle(sc);
+  std::shared_ptr<Batch> batch;  // the session's last batch between pops
   for (;;) {
-    std::shared_ptr<Batch> batch;
     int token = 0;
     if (sc.rank() == 0) {
-      batch = popBatch();
+      batch = popBatch(batch.get());
       {
         support::MutexLock lock(slotMutex_);
         slots_[static_cast<std::size_t>(session)] = batch;

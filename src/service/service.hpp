@@ -8,6 +8,9 @@
 // Session leaders pull requests, greedily batch requests against the same
 // operator into one multi-RHS solve (the "multi_rhs=blocked" backend path),
 // and resolve each request's future with its lane of the block solution.
+// A leader prefers requests on the operator its session served last (its
+// component is already set up for it); the queue's front request may be
+// passed over once that way, never twice.
 //
 // Concurrency model: SolverService owns one background thread running
 // comm::World::run(sessions * ranksPerSession).  Each rank thread splits
@@ -99,6 +102,7 @@ struct SolveResult {
   bool converged = false;
   int session = -1;          ///< session that served the request
   int batchLanes = 1;        ///< lanes fused into the carrying solve
+  long long batchIndex = -1; ///< service-wide order of the carrying solve
   double queueSeconds = 0.0; ///< submit -> dequeue wait
   double solveSeconds = 0.0; ///< dequeue -> futures-resolved service time
 };
@@ -157,7 +161,9 @@ class SolverService {
   void rankBody(comm::Comm& world);
   void serveBatch(const comm::Comm& sc, int session, SessionWorker& worker,
                   Batch& batch);
-  [[nodiscard]] std::shared_ptr<Batch> popBatch();
+  /// Next batch for a session whose previous batch was `last` (null for
+  /// none); null once stopping and drained.
+  [[nodiscard]] std::shared_ptr<Batch> popBatch(const Batch* last);
   void failAllQueued(const std::string& reason);
 
   ServiceConfig cfg_;

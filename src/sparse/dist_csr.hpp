@@ -92,8 +92,10 @@ class DistCsrMatrix {
   /// moves every vector's ghost entries (nVec values per ghost index,
   /// index-major on the wire), so the per-spmv message count — the latency
   /// term that dominates small systems — is paid once instead of nVec
-  /// times.  Each vector runs the row sweep of spmv(), so lane v is
-  /// bitwise identical to spmv() on that vector.  Collective;
+  /// times.  The row sweep takes up to four vectors per pass, sharing
+  /// each entry's value and index load; every vector keeps spmv()'s own
+  /// accumulator and order, so lane v is bitwise identical to spmv() on
+  /// that vector.  Collective;
   /// all ranks must pass the same nVec.  nVec == 1 delegates to spmv().
   void spmvMulti(std::span<const double> xLocal, std::span<double> yLocal,
                  int nVec) const;
@@ -223,22 +225,53 @@ class DistCsrMatrix {
 [[nodiscard]] double distNormInf(const comm::Comm& comm,
                                  std::span<const double> x);
 
+/// One dot-product lane: accumulates sum_i x[i]*y[i] across all ranks.
+struct DotArgs {
+  std::span<const double> x;
+  std::span<const double> y;
+};
+
+// ---- Fused multi-vector kernels -----------------------------------------
+//
+// The Krylov orthogonalization runs on these two kernels.  Both interleave
+// several vectors in one pass over memory, and both keep every lane's
+// arithmetic exactly as the one-vector loop does it: a lane has its own
+// accumulator (or, for maxpy, each element takes its updates in the same
+// order), so each result is bitwise that of distDot or of sequential axpys.
+
+/// out[l] = global sum_i dots[l].x[i] * dots[l].y[i], all lanes in ONE
+/// allreduce.  The local partials are computed up to 8 lanes at a time;
+/// when those lanes share x (GMRES projects one vector on a whole basis),
+/// x[i] is loaded once for all of them.  Each lane is bitwise identical to
+/// distDot on the same pair.  Writes into caller storage, so a warm call
+/// allocates nothing at p=1.  Collective.
+void distDots(const comm::Comm& comm, std::span<const DotArgs> dots,
+              std::span<double> out);
+
+/// Kelley's reorthogonalization test for classical Gram-Schmidt: GMRES
+/// runs a second CGS pass on an Arnoldi vector when the projections left
+/// less than this fraction of its norm (severe cancellation).
+inline constexpr double kCgsReorthRatio = 1e-3;
+
+/// w -= sum_i coeffs[i] * ys[i] (local), four ys per pass over w.  Element
+/// k takes its updates in ascending i, so w is bitwise identical to the
+/// sequential loops `w[k] -= coeffs[i] * ys[i][k]`.  Returns the local
+/// sum_k w[k]^2 of the result, accumulated in ascending k inside the last
+/// pass: bitwise the local partial distDot(w, w) would compute.
+double maxpy(std::span<double> w, std::span<const double> coeffs,
+             std::span<const std::span<const double>> ys);
+
 // ---- Split-phase (latency-hiding) dot products -------------------------
 //
 // distDotsBegin computes the local partial sums and starts ONE fused
 // nonblocking allreduce over all lanes; the caller overlaps useful work
 // (SpMV, preconditioner application) and collects the results with
 // distDotsEnd.  Each lane is bitwise identical to the corresponding
-// blocking distDot/distDot2 lane: the local summation loop and the
-// elementwise reduction schedule are the same, only the waiting moves.
+// blocking distDot/distDot2/distDots lane: the local partials come from
+// the same kernel as distDots and the elementwise reduction schedule is
+// the same, only the waiting moves.
 // Like every collective, all ranks must begin the same dot batches in the
 // same order.
-
-/// One dot-product lane: accumulates sum_i x[i]*y[i] across all ranks.
-struct DotArgs {
-  std::span<const double> x;
-  std::span<const double> y;
-};
 
 /// In-flight fused dot batch.  Move-only; results land in an internally
 /// owned buffer whose address is stable across moves, so a PendingDots can

@@ -61,6 +61,16 @@ void CsrMatrixT<V>::check() const {
 
 template <class V>
 void CsrMatrixT<V>::canonicalize() {
+  // Already sorted and duplicate-free: nothing to sort or merge.  Every
+  // adapted port matrix and every DistCsrMatrix block passes through
+  // here.  The arrays still come out exactly sized, as a rebuild would
+  // leave them, so a matrix grown by push_back keeps no slack.
+  if (isCanonical()) {
+    rowPtr.shrink_to_fit();
+    colIdx.shrink_to_fit();
+    values.shrink_to_fit();
+    return;
+  }
   std::vector<int> newPtr(static_cast<std::size_t>(rows) + 1, 0);
   std::vector<int> newCol;
   std::vector<V> newVal;

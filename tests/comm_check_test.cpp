@@ -223,24 +223,32 @@ TEST(CommCheck, CollHandleLeakDiagnosed) {
 
 TEST(CommCheck, InFlightBufferAliasingDiagnosed) {
   SKIP_IF_UNCHECKED();
-  for (const int nranks : {2, 4}) {
-    const std::string msg = runExpectViolation(nranks, [](Comm& c) {
-      const double in1 = 1.0;
-      const double in2 = 2.0;
-      std::array<double, 2> out{};
-      // Rank 0 hands both operations the same output word; the others keep
-      // the streams lockstep with disjoint buffers and wait out the abort.
-      const std::size_t second = c.rank() == 0 ? 0 : 1;
-      CollHandle h1 = c.iallreduce(std::span<const double>(&in1, 1),
-                                   std::span<double>(&out[0], 1),
-                                   comm::ReduceOp::kSum);
-      CollHandle h2 = c.iallreduce(std::span<const double>(&in2, 1),
-                                   std::span<double>(&out[second], 1),
-                                   comm::ReduceOp::kSum);
-      h1.wait();
-      h2.wait();
-    });
-    expectContains(msg, "in-flight buffer aliasing");
+  // iallreduce progresses at start, so h1 may already have run every step
+  // when h2 starts; its buffer is still h1's until h1 is waited.  Repeat
+  // the body so the diagnosis cannot depend on which way that race goes.
+  constexpr int kRepeats = 50;
+  for (int rep = 0; rep < kRepeats; ++rep) {
+    for (const int nranks : {2, 4}) {
+      SCOPED_TRACE("repeat " + std::to_string(rep));
+      const std::string msg = runExpectViolation(nranks, [](Comm& c) {
+        const double in1 = 1.0;
+        const double in2 = 2.0;
+        std::array<double, 2> out{};
+        // Rank 0 hands both operations the same output word; the others
+        // keep the streams lockstep with disjoint buffers and wait out the
+        // abort.
+        const std::size_t second = c.rank() == 0 ? 0 : 1;
+        CollHandle h1 = c.iallreduce(std::span<const double>(&in1, 1),
+                                     std::span<double>(&out[0], 1),
+                                     comm::ReduceOp::kSum);
+        CollHandle h2 = c.iallreduce(std::span<const double>(&in2, 1),
+                                     std::span<double>(&out[second], 1),
+                                     comm::ReduceOp::kSum);
+        h1.wait();
+        h2.wait();
+      });
+      expectContains(msg, "in-flight buffer aliasing");
+    }
   }
 }
 

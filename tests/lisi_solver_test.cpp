@@ -263,6 +263,66 @@ TEST(LisiMultiRhs, SolvesSeveralRightHandSides) {
   });
 }
 
+// ---- hymg reports the true residual against the application's matrix ---
+
+// The reported residual is ||b - A x|| for the matrix the application
+// supplied.  When that matrix is bitwise the rediscretized fine level, the
+// port reuses HyMG's own final residual; otherwise (here: values off by a
+// relative 1e-12, inside the mismatch tolerance) it recomputes it.  Both
+// must equal the residual recomputed here, bitwise.
+TEST(LisiHymg, ReportedResidualIsTheTrueResidualBitwise) {
+  const int gridN = 15;
+  for (const double perturb : {0.0, 1e-12}) {
+    for (const int ranks : {1, 2, 4}) {
+      World::run(ranks, [&](Comm& c) {
+        mesh::Pde5ptSpec spec;
+        spec.gridN = gridN;
+        auto sys = mesh::assembleLocal(spec, c.rank(), c.size());
+        for (double& v : sys.localA.values) v *= 1.0 + perturb;
+        registerSolverComponents();
+        cca::Framework fw;
+        fw.instantiate("mg", kHymgComponentClass);
+        auto s = fw.getProvidesPortAs<SparseSolver>("mg", kSparseSolverPortName);
+        const long handle = comm::registerHandle(c);
+        const int m = sys.localA.rows;
+        const int nnz = sys.localA.nnz();
+        ASSERT_EQ(s->initialize(handle), 0);
+        ASSERT_EQ(s->setStartRow(sys.startRow), 0);
+        ASSERT_EQ(s->setLocalRows(m), 0);
+        ASSERT_EQ(s->setGlobalCols(sys.globalN), 0);
+        ASSERT_EQ(s->setInt("mg_grid_n", gridN), 0);
+        ASSERT_EQ(s->setDouble("mg_bx", 3.0), 0);
+        ASSERT_EQ(s->setDouble("tol", 1e-10), 0);
+        ASSERT_EQ(s->setupMatrix(
+                      RArray<const double>(sys.localA.values.data(), nnz),
+                      RArray<const int>(sys.localA.rowPtr.data(), m + 1),
+                      RArray<const int>(sys.localA.colIdx.data(), nnz),
+                      SparseStruct::kCsr, m + 1, nnz),
+                  0);
+        ASSERT_EQ(s->setupRHS(RArray<const double>(sys.localB.data(), m), m, 1),
+                  0);
+        std::vector<double> x(static_cast<std::size_t>(m));
+        double status[kStatusLength] = {};
+        ASSERT_EQ(s->solve(RArray<double>(x.data(), m),
+                           RArray<double>(status, kStatusLength), m,
+                           kStatusLength),
+                  0);
+        const sparse::DistCsrMatrix a(c, sys.globalN, sys.globalN, sys.startRow,
+                                      sys.localA);
+        std::vector<double> r(static_cast<std::size_t>(m));
+        a.spmv(x, std::span<double>(r));
+        for (std::size_t i = 0; i < r.size(); ++i) r[i] = sys.localB[i] - r[i];
+        EXPECT_EQ(status[kStatusResidualNorm],
+                  sparse::distNorm2(c, std::span<const double>(r)))
+            << "perturb " << perturb << " at " << ranks << " ranks";
+        s.reset();
+        fw.destroy("mg");
+        comm::releaseHandle(handle);
+      });
+    }
+  }
+}
+
 // ---- port-contract details against one backend (pksp) ------------------
 
 std::shared_ptr<SparseSolver> freshSolver(cca::Framework& fw,

@@ -10,10 +10,15 @@
 #include "comm/comm.hpp"
 #include "mesh/pde5pt.hpp"
 #include "pksp/pksp.hpp"
+#include "pksp/pksp_internal.hpp"
 #include "sparse/dist_csr.hpp"
 #include "sparse/generate.hpp"
 #include "sparse/ops.hpp"
 #include "support/rng.hpp"
+
+// Counts heap allocations, so the allocation-free Arnoldi step can be
+// asserted directly.
+#include "alloc_count.hpp"
 
 namespace pksp {
 namespace {
@@ -268,6 +273,45 @@ TEST(PkspPc, ShellOperatorWithMatrixPcUnsupported) {
               PKSP_ERR_UNSUPPORTED);
     KSPDestroy(&ksp);
   });
+}
+
+// ILU(0)'s lane-interleaved triangular solves reproduce apply() on every
+// lane bitwise, for 1-5 lanes (a full group of four and each remainder)
+// picked out of a wider block, in both precisions.
+TEST(PkspPc, Ilu0ApplyLanesMatchesApplyBitwise) {
+  lisi::mesh::Pde5ptSpec spec;
+  spec.gridN = 14;
+  const CsrMatrix g = lisi::mesh::assembleGlobal(spec).localA;
+  for (const int p : {1, 2}) {
+    World::run(p, [&](Comm& c) {
+      DistCsrMatrix a = DistCsrMatrix::scatterFromRoot(c, g);
+      const auto m = static_cast<std::size_t>(a.localRows());
+      const std::size_t width = 7;
+      std::vector<double> r(m * width);
+      Rng rng(99 + static_cast<std::uint64_t>(c.rank()));
+      for (double& v : r) v = rng.uniform(-1, 1);
+      const auto pc = detail::makeLocalIlu0(a);
+      for (const bool low : {false, true}) {
+        pc->setLowPrecision(low);
+        for (std::size_t count = 1; count <= 5; ++count) {
+          std::vector<std::size_t> lanes;
+          for (std::size_t q = 0; q < count; ++q) {
+            lanes.push_back(width - 1 - q);
+          }
+          std::vector<double> z(m * width, 0.0), zRef(m * width, 0.0);
+          pc->applyLanes(r, z, lanes, m);
+          for (const std::size_t v : lanes) {
+            pc->apply(std::span<const double>(r).subspan(v * m, m),
+                      std::span<double>(zRef).subspan(v * m, m));
+          }
+          for (std::size_t i = 0; i < z.size(); ++i) {
+            ASSERT_EQ(z[i], zRef[i]) << count << " lanes, entry " << i
+                                     << (low ? " (float32)" : "");
+          }
+        }
+      }
+    });
+  }
 }
 
 TEST(PkspShell, MatrixFreeDiagonalSolve) {
@@ -664,6 +708,93 @@ TEST(PkspGmres, RestartAffectsButStillConverges) {
   });
 }
 
+// An operator with three tight eigenvalue clusters: after three Arnoldi
+// steps the Krylov space holds all but a 1e-6 sliver of every new vector,
+// so the projections cancel severely and the second CGS pass must run.
+// The solve still meets rtol on the true residual, at every rank count.
+TEST(PkspGmres, ReorthogonalizationKeepsTrueResidualAtRtol) {
+  const int n = 60;
+  CsrMatrix g;
+  g.rows = n;
+  g.cols = n;
+  g.rowPtr.assign(static_cast<std::size_t>(n) + 1, 0);
+  Rng rng(11);
+  for (int i = 0; i < n; ++i) {
+    g.rowPtr[static_cast<std::size_t>(i) + 1] = i + 1;
+    g.colIdx.push_back(i);
+    g.values.push_back(std::ldexp(1.0, i % 3) *
+                       (1.0 + 1e-6 * rng.uniform(-1, 1)));
+  }
+  std::vector<double> bGlobal(static_cast<std::size_t>(n));
+  for (double& v : bGlobal) v = rng.uniform(-1, 1);
+  const double rtol = 1e-10;
+  for (const int p : {1, 3}) {
+    World::run(p, [&](Comm& c) {
+      DistCsrMatrix a = DistCsrMatrix::scatterFromRoot(c, g);
+      const auto s = static_cast<std::size_t>(a.startRow());
+      const auto m = static_cast<std::size_t>(a.localRows());
+      const std::vector<double> b(bGlobal.begin() + long(s),
+                                  bGlobal.begin() + long(s + m));
+      std::vector<double> x(m, 0.0), r(m);
+      const detail::IdentityPc pc;
+      const detail::MatrixOperator op(&a);
+      detail::Tolerances tol;
+      tol.rtol = rtol;
+      tol.atol = 0.0;
+      tol.maxits = 200;
+      const detail::SolveReport rep =
+          detail::runGmres(c, op, pc, b, x, tol, 30);
+      EXPECT_EQ(rep.reason, PKSP_CONVERGED_RTOL) << "p=" << p;
+      EXPECT_GT(rep.reorthogonalizations, 0) << "p=" << p;
+      a.spmv(x, std::span<double>(r));
+      for (std::size_t i = 0; i < m; ++i) r[i] = b[i] - r[i];
+      EXPECT_LE(lisi::sparse::distNorm2(c, std::span<const double>(r)),
+                rtol * lisi::sparse::distNorm2(c, b))
+          << "p=" << p;
+    });
+  }
+}
+
+// A warm Arnoldi step allocates nothing: solves that differ only in their
+// iteration budget, all inside one restart cycle, make the same number of
+// allocations.  One rank, where the reductions and the halo exchange are
+// themselves allocation-free.
+TEST(PkspGmres, WarmArnoldiStepAllocatesNothing) {
+  lisi::mesh::Pde5ptSpec spec;
+  spec.gridN = 20;
+  const auto sys = lisi::mesh::assembleGlobal(spec);
+  World::run(1, [&](Comm& c) {
+    DistCsrMatrix a = DistCsrMatrix::scatterFromRoot(c, sys.localA);
+    const auto pc = detail::makeLocalIlu0(a);
+    const detail::MatrixOperator op(&a);
+    const auto n = sys.localB.size();
+    const auto allocations = [&](int maxits, int nRhs) {
+      std::vector<double> b(n * static_cast<std::size_t>(nRhs));
+      for (std::size_t i = 0; i < b.size(); ++i) {
+        b[i] = sys.localB[i % n] * (1.0 + 0.1 * static_cast<double>(i / n));
+      }
+      std::vector<double> x(b.size(), 0.0);
+      detail::Tolerances tol;
+      tol.rtol = 1e-12;
+      tol.maxits = maxits;
+      g_allocCalls.store(0);
+      g_countAllocs.store(true);
+      if (nRhs == 1) {
+        (void)detail::runGmres(c, op, *pc, b, x, tol, 30);
+      } else {
+        (void)detail::runBlockedGmres(c, a, *pc, b, x, nRhs, tol, 30);
+      }
+      g_countAllocs.store(false);
+      return g_allocCalls.load();
+    };
+    for (const int nRhs : {1, 3}) {
+      (void)allocations(2, nRhs);  // warm the matrix's halo scratch
+      EXPECT_EQ(allocations(2, nRhs), allocations(25, nRhs))
+          << nRhs << " lanes";
+    }
+  });
+}
+
 // The CG kernel fuses <z,z> and <r,z> into one two-element allreduce.  The
 // allreduce schedule is elementwise, so the fused lanes must be bitwise
 // identical to separate dots: iterates, iteration count, and solution may
@@ -814,6 +945,89 @@ TEST(PkspMulti, BlockedCgMatchesSequentialBitwise) {
 TEST(PkspMulti, BlockedGmresMatchesSequentialBitwise) {
   for (const int p : {1, 2, 3}) {
     checkBlockedMatchesSequential(PKSP_GMRES, PKSP_PC_ILU0, p);
+  }
+}
+
+// Restart, early freeze and reorthogonalization under the blocked kernel:
+// GMRES(5) on the paper's convection-diffusion operator with four lanes of
+// different character.  Lane 1's right-hand side is A(e_first + e_last)
+// plus a 1e-5 relative perturbation: ILU(0)'s dropped fill never touches
+// the two corner unknowns, so M^{-1}A maps e_first + e_last to itself and
+// the first Arnoldi step cancels down to the perturbation, which Kelley's
+// test catches.  Lane 2 is a zero RHS and converges before iterating.
+// Every lane must equal its single-RHS solve bitwise, with the same
+// iterations, reason and reorthogonalization count.
+TEST(PkspMulti, BlockedGmresRestartFreezeReorthMatchesSequential) {
+  lisi::mesh::Pde5ptSpec spec;
+  spec.gridN = 12;
+  const CsrMatrix g = lisi::mesh::assembleGlobal(spec).localA;
+  const auto n = static_cast<std::size_t>(g.rows);
+  const int nRhs = 4;
+  std::vector<double> bGlobal(n * nRhs, 0.0);
+  Rng rng(17);
+  for (std::size_t i = 0; i < n; ++i) bGlobal[i] = rng.uniform(-1, 1);
+  std::vector<double> corners(n, 0.0);
+  corners.front() = 1.0;
+  corners.back() = 1.0;
+  lisi::sparse::spmv(g, std::span<const double>(corners),
+                     std::span<double>(bGlobal).subspan(n, n));
+  for (std::size_t i = n; i < 2 * n; ++i) {
+    bGlobal[i] = 1e3 * bGlobal[i] + 1e-2 * rng.uniform(-1, 1);
+  }
+  for (std::size_t i = 3 * n; i < 4 * n; ++i) {
+    bGlobal[i] = 1e-4 * rng.uniform(-1, 1);
+  }
+
+  for (const int p : {1, 2, 3}) {
+    World::run(p, [&](Comm& c) {
+      DistCsrMatrix a = DistCsrMatrix::scatterFromRoot(c, g);
+      const auto s = static_cast<std::size_t>(a.startRow());
+      const auto m = static_cast<std::size_t>(a.localRows());
+      std::vector<double> b(m * nRhs);
+      for (std::size_t k = 0; k < nRhs; ++k) {
+        std::copy_n(bGlobal.begin() + long(k * n + s), m,
+                    b.begin() + long(k * m));
+      }
+      const auto pc = detail::makeLocalIlu0(a);
+      const detail::MatrixOperator op(&a);
+      detail::Tolerances tol;
+      tol.rtol = 1e-10;
+      tol.atol = 1e-14;
+      tol.maxits = 500;
+      const int restart = 5;
+
+      std::vector<double> xSeq(m * nRhs, 0.0);
+      std::vector<detail::SolveReport> seq;
+      for (std::size_t k = 0; k < nRhs; ++k) {
+        seq.push_back(detail::runGmres(
+            c, op, *pc, std::span<const double>(b).subspan(k * m, m),
+            std::span<double>(xSeq).subspan(k * m, m), tol, restart));
+      }
+      std::vector<double> xBlk(m * nRhs, 0.0);
+      const std::vector<detail::SolveReport> blk =
+          detail::runBlockedGmres(c, a, *pc, b, xBlk, nRhs, tol, restart);
+
+      ASSERT_EQ(blk.size(), seq.size());
+      for (std::size_t k = 0; k < nRhs; ++k) {
+        EXPECT_GT(seq[k].reason, 0) << "p=" << p << " lane " << k;
+        EXPECT_EQ(blk[k].reason, seq[k].reason) << "p=" << p << " lane " << k;
+        EXPECT_EQ(blk[k].iterations, seq[k].iterations)
+            << "p=" << p << " lane " << k;
+        EXPECT_EQ(blk[k].reorthogonalizations, seq[k].reorthogonalizations)
+            << "p=" << p << " lane " << k;
+      }
+      // The case covers what it claims: restarts, a lane frozen before
+      // iterating, and a reorthogonalizing lane beside one that is not.
+      EXPECT_GT(seq[0].iterations, 2 * restart) << "p=" << p;
+      EXPECT_EQ(seq[0].reorthogonalizations, 0) << "p=" << p;
+      EXPECT_GT(seq[1].reorthogonalizations, 0) << "p=" << p;
+      EXPECT_GT(seq[1].iterations, restart) << "p=" << p;
+      EXPECT_EQ(seq[2].iterations, 0) << "p=" << p;
+      for (std::size_t i = 0; i < xBlk.size(); ++i) {
+        ASSERT_EQ(xBlk[i], xSeq[i])
+            << "p=" << p << " entry " << i << " (lane " << i / m << ")";
+      }
+    });
   }
 }
 

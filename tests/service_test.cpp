@@ -136,6 +136,39 @@ TEST(Service, BatchesSameOperatorRequests) {
   EXPECT_EQ(svc.batchesServed(), 1);
 }
 
+// A leader starts from a request on the operator its session served last,
+// but passes over the queue's front request at most once.  Queued before
+// start() with one session and one lane per batch, the service order is
+// deterministic: A1 (nothing served yet), A2 (affine; B1 passed over
+// once), B1 (passed over already, so served), A3.
+TEST(Service, OperatorAffinityBypassesTheFrontAtMostOnce) {
+  const Problem pa = makeProblem(8);
+  const Problem pb = makeProblem(9);
+  ServiceConfig cfg;
+  cfg.sessions = 1;
+  cfg.ranksPerSession = 2;
+  cfg.batchWindow = 1;
+  SolverService svc(cfg);
+  const std::vector<const Problem*> order = {&pa, &pb, &pa, &pa};
+  std::vector<std::future<SolveResult>> futures;
+  for (const Problem* p : order) {
+    auto f = svc.submit(cgRequest(*p, p == &pa ? 1 : 2));
+    ASSERT_TRUE(f.has_value());
+    futures.push_back(std::move(*f));
+  }
+  svc.start();
+  std::vector<long long> served;
+  for (std::size_t k = 0; k < futures.size(); ++k) {
+    SolveResult res = futures[k].get();
+    ASSERT_TRUE(res.ok) << res.error;
+    EXPECT_LT(residualInf(*order[k]->a, res.x, order[k]->b), 1e-6);
+    served.push_back(res.batchIndex);
+  }
+  svc.stop();
+  // Submission order A1 B1 A2 A3 is served as A1 A2 B1 A3.
+  EXPECT_EQ(served, (std::vector<long long>{0, 2, 1, 3}));
+}
+
 TEST(Service, AdmissionControlRejectsWhenFull) {
   const Problem p = makeProblem(8);
   ServiceConfig cfg;

@@ -6,11 +6,8 @@
 // cleanly from a zero pivot.
 #include <gtest/gtest.h>
 
-#include <atomic>
 #include <cmath>
-#include <cstdlib>
 #include <cstring>
-#include <new>
 
 #include "mesh/pde5pt.hpp"
 #include "slu/slu.hpp"
@@ -19,31 +16,9 @@
 #include "sparse/ops.hpp"
 #include "support/rng.hpp"
 
-// ---- global allocation counter ----------------------------------------
-// Replaces the global allocation functions for this test binary so the
-// allocation-free contract of Factorization::refactorize can be asserted
-// directly.  Counting is off by default; tests toggle it around the
-// measured region.
-namespace {
-std::atomic<bool> g_countAllocs{false};
-std::atomic<std::size_t> g_allocCalls{0};
-
-void* countedAlloc(std::size_t n) {
-  if (g_countAllocs.load(std::memory_order_relaxed)) {
-    g_allocCalls.fetch_add(1, std::memory_order_relaxed);
-  }
-  void* p = std::malloc(n == 0 ? 1 : n);
-  if (!p) throw std::bad_alloc();
-  return p;
-}
-}  // namespace
-
-void* operator new(std::size_t n) { return countedAlloc(n); }
-void* operator new[](std::size_t n) { return countedAlloc(n); }
-void operator delete(void* p) noexcept { std::free(p); }
-void operator delete[](void* p) noexcept { std::free(p); }
-void operator delete(void* p, std::size_t) noexcept { std::free(p); }
-void operator delete[](void* p, std::size_t) noexcept { std::free(p); }
+// Counts heap allocations, so the allocation-free contract of
+// Factorization::refactorize can be asserted directly.
+#include "alloc_count.hpp"
 
 namespace slu {
 namespace {

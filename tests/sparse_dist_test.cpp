@@ -2,10 +2,7 @@
 // their serial counterparts for every rank count.
 #include <gtest/gtest.h>
 
-#include <atomic>
-#include <cstdlib>
 #include <functional>
-#include <new>
 #include <string>
 
 #include "comm/comm.hpp"
@@ -17,36 +14,13 @@
 #include "sparse/partition.hpp"
 #include "support/rng.hpp"
 
+// Counts heap allocations, so the zero-allocation contract of
+// DistCsrMatrix::spmv can be asserted directly.
+#include "alloc_count.hpp"
+
 #ifndef LISI_TEST_DATA_DIR
 #define LISI_TEST_DATA_DIR "tests/data"
 #endif
-
-// ---- global allocation counter ----------------------------------------
-// Replaces the global allocation functions for this test binary so the
-// zero-allocation contract of DistCsrMatrix::spmv can be asserted directly.
-// Counting is off by default; tests toggle it around the measured region.
-namespace {
-std::atomic<bool> g_countAllocs{false};
-std::atomic<std::size_t> g_allocCalls{0};
-std::atomic<std::size_t> g_allocBytes{0};
-
-void* countedAlloc(std::size_t n) {
-  if (g_countAllocs.load(std::memory_order_relaxed)) {
-    g_allocCalls.fetch_add(1, std::memory_order_relaxed);
-    g_allocBytes.fetch_add(n, std::memory_order_relaxed);
-  }
-  void* p = std::malloc(n == 0 ? 1 : n);
-  if (!p) throw std::bad_alloc();
-  return p;
-}
-}  // namespace
-
-void* operator new(std::size_t n) { return countedAlloc(n); }
-void* operator new[](std::size_t n) { return countedAlloc(n); }
-void operator delete(void* p) noexcept { std::free(p); }
-void operator delete[](void* p) noexcept { std::free(p); }
-void operator delete(void* p, std::size_t) noexcept { std::free(p); }
-void operator delete[](void* p, std::size_t) noexcept { std::free(p); }
 
 namespace lisi::sparse {
 namespace {
@@ -523,6 +497,80 @@ TEST_P(DistP, SplitPhaseDotOverlapsSpmv) {
     }
     EXPECT_EQ(distDotEnd(pend), dotRef);
   });
+}
+
+TEST_P(DistP, FusedDotsMatchDistDotBitwise) {
+  // Every lane of the interleaved multi-dot is bitwise distDot, for 1-9
+  // lanes (full groups of 8 and every remainder), whether the lanes share
+  // x (the GMRES projection shape) or not, and in split-phase form too.
+  const int p = GetParam();
+  const int n = 53;
+  const int kVecs = 10;
+  std::vector<std::vector<double>> vecs(kVecs,
+                                        std::vector<double>(std::size_t(n)));
+  Rng rng(811);
+  for (auto& v : vecs) {
+    for (double& e : v) e = rng.uniform(-1, 1);
+  }
+  comm::World::run(p, [&](comm::Comm& c) {
+    const BlockRowPartition part(n, p);
+    const auto s = static_cast<std::size_t>(part.startRow(c.rank()));
+    const auto m = static_cast<std::size_t>(part.localRows(c.rank()));
+    const auto local = [&](int k) {
+      return std::span<const double>(vecs[std::size_t(k)]).subspan(s, m);
+    };
+    for (int lanes = 1; lanes <= 9; ++lanes) {
+      for (const bool shared : {true, false}) {
+        std::vector<DotArgs> dots;
+        for (int l = 0; l < lanes; ++l) {
+          dots.push_back({local(shared ? 0 : l), local(l + 1)});
+        }
+        std::vector<double> out(dots.size());
+        distDots(c, dots, out);
+        PendingDots pend = distDotsBegin(c, dots);
+        const std::span<const double> split = distDotsEnd(pend);
+        for (std::size_t l = 0; l < dots.size(); ++l) {
+          const double ref = distDot(c, dots[l].x, dots[l].y);
+          EXPECT_EQ(out[l], ref) << lanes << " lanes, lane " << l
+                                 << (shared ? " (shared x)" : "");
+          EXPECT_EQ(split[l], ref) << lanes << " lanes, lane " << l;
+        }
+      }
+    }
+  });
+}
+
+TEST(FusedKernels, MaxpyMatchesSequentialAxpysBitwise) {
+  // maxpy updates each element in the order of the sequential axpys, for
+  // every count of vectors (full passes of 4 and each remainder), and
+  // returns bitwise the local partial of the updated w's squared norm.
+  const std::size_t n = 37;
+  Rng rng(812);
+  std::vector<std::vector<double>> ys(9, std::vector<double>(n));
+  for (auto& y : ys) {
+    for (double& e : y) e = rng.uniform(-1, 1);
+  }
+  std::vector<double> coeffs(9);
+  for (double& c : coeffs) c = rng.uniform(-2, 2);
+  std::vector<double> w0(n);
+  for (double& e : w0) e = rng.uniform(-1, 1);
+  for (std::size_t count = 0; count <= 9; ++count) {
+    std::vector<double> ref = w0;
+    for (std::size_t i = 0; i < count; ++i) {
+      for (std::size_t k = 0; k < n; ++k) ref[k] -= coeffs[i] * ys[i][k];
+    }
+    double refNorm2 = 0.0;
+    for (const double e : ref) refNorm2 += e * e;
+    std::vector<std::span<const double>> yspans(ys.begin(),
+                                                ys.begin() + long(count));
+    std::vector<double> w = w0;
+    const double norm2 =
+        maxpy(w, std::span<const double>(coeffs.data(), count), yspans);
+    for (std::size_t k = 0; k < n; ++k) {
+      EXPECT_EQ(w[k], ref[k]) << count << " vectors, entry " << k;
+    }
+    EXPECT_EQ(norm2, refNorm2) << count << " vectors";
+  }
 }
 
 INSTANTIATE_TEST_SUITE_P(RankCounts, DistP,
