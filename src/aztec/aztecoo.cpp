@@ -63,27 +63,8 @@ PcApply makeNeumann(const RowMatrix& a, int order) {
 /// Implemented independently of PKSP's ILU: packages are self-contained.
 class LocalIlu {
  public:
-  explicit LocalIlu(const lisi::sparse::DistCsrMatrix& a) {
-    // Extract the local diagonal block with local indices.
-    const CsrMatrix& loc = a.localBlock();
-    const int start = a.startRow();
-    const int end = start + a.localRows();
-    lu_.rows = a.localRows();
-    lu_.cols = a.localRows();
-    lu_.rowPtr.assign(static_cast<std::size_t>(lu_.rows) + 1, 0);
-    for (int i = 0; i < loc.rows; ++i) {
-      for (int k = loc.rowPtr[static_cast<std::size_t>(i)];
-           k < loc.rowPtr[static_cast<std::size_t>(i) + 1]; ++k) {
-        const int c = loc.colIdx[static_cast<std::size_t>(k)];
-        if (c >= start && c < end) {
-          lu_.colIdx.push_back(c - start);
-          lu_.values.push_back(loc.values[static_cast<std::size_t>(k)]);
-        }
-      }
-      lu_.rowPtr[static_cast<std::size_t>(i) + 1] =
-          static_cast<int>(lu_.values.size());
-    }
-    lu_.canonicalize();
+  explicit LocalIlu(const lisi::sparse::DistCsrMatrix& a)
+      : lu_(a.ownedBlock()) {
     diagPos_.assign(static_cast<std::size_t>(lu_.rows), -1);
     for (int i = 0; i < lu_.rows; ++i) {
       for (int k = lu_.rowPtr[static_cast<std::size_t>(i)];
@@ -169,26 +150,8 @@ class LocalIlu {
 ///   is safe under CG — unlike plain (one-sided) Gauss-Seidel.
 class LocalSgs {
  public:
-  explicit LocalSgs(const lisi::sparse::DistCsrMatrix& a) {
-    const CsrMatrix& loc = a.localBlock();
-    const int start = a.startRow();
-    const int end = start + a.localRows();
-    blk_.rows = a.localRows();
-    blk_.cols = a.localRows();
-    blk_.rowPtr.assign(static_cast<std::size_t>(blk_.rows) + 1, 0);
-    for (int i = 0; i < loc.rows; ++i) {
-      for (int k = loc.rowPtr[static_cast<std::size_t>(i)];
-           k < loc.rowPtr[static_cast<std::size_t>(i) + 1]; ++k) {
-        const int c = loc.colIdx[static_cast<std::size_t>(k)];
-        if (c >= start && c < end) {
-          blk_.colIdx.push_back(c - start);
-          blk_.values.push_back(loc.values[static_cast<std::size_t>(k)]);
-        }
-      }
-      blk_.rowPtr[static_cast<std::size_t>(i) + 1] =
-          static_cast<int>(blk_.values.size());
-    }
-    blk_.canonicalize();
+  explicit LocalSgs(const lisi::sparse::DistCsrMatrix& a)
+      : blk_(a.ownedBlock()) {
     diagPos_.assign(static_cast<std::size_t>(blk_.rows), -1);
     for (int i = 0; i < blk_.rows; ++i) {
       for (int k = blk_.rowPtr[static_cast<std::size_t>(i)];

@@ -39,31 +39,49 @@ class RowMatrix {
   }
 };
 
-/// Assembled sparse matrix over a Map (Epetra_CrsMatrix analogue).
+/// Assembled sparse matrix over a Map (Epetra_CrsMatrix analogue).  Like
+/// Epetra's data-access modes it either owns its operator (Copy) or views
+/// one that already exists (View).
 class CrsMatrix final : public RowMatrix {
  public:
-  /// Wrap this rank's rows (global column indices) on layout `map`.
-  /// Collective.
+  /// Copy mode: wrap this rank's rows (global column indices) on layout
+  /// `map`, building a distributed operator of its own.  Collective.
   CrsMatrix(const Map& map, lisi::sparse::CsrMatrix localRows);
+
+  /// View mode: use `matrix` as it is, with no copy and no second halo
+  /// plan.  The shared handle keeps it alive as long as the view; its
+  /// owner refreshes the values in place and the view sees them.  `matrix`
+  /// must be square with the row layout of `map`.  Purely local.
+  CrsMatrix(const Map& map,
+            std::shared_ptr<const lisi::sparse::DistCsrMatrix> matrix);
+
+  CrsMatrix(const CrsMatrix&) = delete;
+  CrsMatrix& operator=(const CrsMatrix&) = delete;
+  CrsMatrix(CrsMatrix&&) = default;
+  CrsMatrix& operator=(CrsMatrix&&) = default;
 
   [[nodiscard]] const Map& rowMap() const override { return *map_; }
   void apply(const Vector& x, Vector& y) const override;
   void extractDiagonal(Vector& d) const override;
   [[nodiscard]] const lisi::sparse::DistCsrMatrix* assembled() const override {
-    return &dist_;
+    return dist_.get();
   }
 
-  [[nodiscard]] long long numGlobalNonzeros() const { return dist_.globalNnz(); }
+  [[nodiscard]] long long numGlobalNonzeros() const {
+    return dist_->globalNnz();
+  }
 
   /// Same-pattern value refresh (Epetra's ReplaceMyValues-style workflow):
   /// `localRows` must be canonical and carry exactly the sparsity of the
   /// wrapped rows; the distributed operator's halo plan and importer state
-  /// are reused untouched.  Purely local.
+  /// are reused untouched.  Copy mode only: a view's values belong to the
+  /// viewed operator.  Purely local.
   void replaceValues(const lisi::sparse::CsrMatrix& localRows);
 
  private:
   const Map* map_;
-  lisi::sparse::DistCsrMatrix dist_;
+  std::shared_ptr<const lisi::sparse::DistCsrMatrix> dist_;
+  lisi::sparse::DistCsrMatrix* owned_ = nullptr;  ///< Copy mode: *dist_
 };
 
 }  // namespace aztec

@@ -313,26 +313,7 @@ void Solver::Impl::build(int gridN) {
       d = 1.0 / d;
     }
     if (options.smoother == Smoother::kHybridGs) {
-      // Local diagonal block with local column indices.
-      const CsrMatrix& loc = lvl.a->localBlock();
-      const int s = lvl.a->startRow();
-      const int e = s + lvl.a->localRows();
-      CsrMatrix blk;
-      blk.rows = lvl.a->localRows();
-      blk.cols = blk.rows;
-      blk.rowPtr.assign(static_cast<std::size_t>(blk.rows) + 1, 0);
-      for (int i = 0; i < loc.rows; ++i) {
-        for (int k = loc.rowPtr[static_cast<std::size_t>(i)];
-             k < loc.rowPtr[static_cast<std::size_t>(i) + 1]; ++k) {
-          const int c = loc.colIdx[static_cast<std::size_t>(k)];
-          if (c >= s && c < e) {
-            blk.colIdx.push_back(c - s);
-            blk.values.push_back(loc.values[static_cast<std::size_t>(k)]);
-          }
-        }
-        blk.rowPtr[static_cast<std::size_t>(i) + 1] =
-            static_cast<int>(blk.values.size());
-      }
+      CsrMatrix blk = lvl.a->ownedBlock();
       lvl.gsDiagPos.assign(static_cast<std::size_t>(blk.rows), -1);
       for (int i = 0; i < blk.rows; ++i) {
         for (int k = blk.rowPtr[static_cast<std::size_t>(i)];

@@ -92,25 +92,20 @@ class AztecSolverPort final : public detail::SolverComponentBase {
     // Aztec accepts the common "precision" parameter (LISI contract: a
     // backend without a low-precision path must still take the knob) but
     // runs entirely in float64 — ctx.precision is intentionally unused.
-    // Operator change contract: kSameOperator keeps everything;
-    // kSameStructure keeps the Map and the CrsMatrix (importer/halo state)
-    // and rewrites only the wrapped values; kNewStructure rebuilds.
-    auto* crs = dynamic_cast<CrsMatrix*>(rowMatrix_.get());
-    if (ctx.change == detail::OperatorChange::kSameStructure &&
-        ctx.matrixFree == nullptr && map_ && crs != nullptr) {
-      crs->replaceValues(ctx.matrix->localBlock());
-    } else if (ctx.change != detail::OperatorChange::kSameOperator || !map_) {
+    // Operator change contract: the CrsMatrix views the port's operator
+    // (no copy, no second halo plan), which the port refreshes in place on
+    // kSameStructure, so the Map and the view last until the port hands
+    // over a new operator object.  Matrix-free solves (always
+    // kNewStructure) rebuild both.
+    if (ctx.matrixFree != nullptr || !rowMatrix_ ||
+        rowMatrix_->assembled() != ctx.matrix.get()) {
       map_ = std::make_unique<Map>(ctx.globalRows, ctx.localRows, *ctx.comm);
       if (ctx.matrixFree != nullptr) {
         rowMatrix_ =
             std::make_unique<MatrixFreeRowMatrix>(*map_, ctx.matrixFree);
       } else {
-        rowMatrix_ =
-            std::make_unique<CrsMatrix>(*map_, ctx.matrix->localBlock());
+        rowMatrix_ = std::make_unique<CrsMatrix>(*map_, ctx.matrix);
       }
-    } else if (ctx.matrixFree != nullptr) {
-      // The port pointer may change between solves even if "unchanged".
-      rowMatrix_ = std::make_unique<MatrixFreeRowMatrix>(*map_, ctx.matrixFree);
     }
     return static_cast<int>(ErrorCode::kOk);
   }

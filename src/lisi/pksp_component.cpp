@@ -115,7 +115,7 @@ class PkspSolverPort final : public detail::SolverComponentBase {
       } else if (ctx.change == detail::OperatorChange::kSameStructure) {
         ms = PKSP_SAME_NONZERO_PATTERN;
       }
-      KSPSetOperator(ksp_, ctx.matrix, ms);
+      KSPSetOperator(ksp_, ctx.matrix.get(), ms);
     }
     return static_cast<int>(ErrorCode::kOk);
   }

@@ -333,14 +333,18 @@ int SolverComponentBase::solve(RArray<double> solution, RArray<double> status,
             comm_.allreduceValue(sameLocal, comm::ReduceOp::kMin) == 1;
         if (samePattern) {
           // Value-only refresh: halo plan, ghost column map, and scratch
-          // all survive; no communication, no allocation.
+          // all survive; no communication, no allocation.  The adapted
+          // block has served its purpose.
           distA_->updateValues(localA_);
+          localA_ = {};
         } else {
           // Collective: every rank rebuilds the distributed operator
-          // together.
-          distA_.emplace(comm_, comm_.allreduceValue(localRows_,
-                                                     comm::ReduceOp::kSum),
-                         globalCols_, startRow_, localA_);
+          // together.  The old operator goes first (a backend view may
+          // still hold it), and the adapted block moves in: one copy.
+          distA_.reset();
+          distA_ = std::make_shared<sparse::DistCsrMatrix>(
+              comm_, comm_.allreduceValue(localRows_, comm::ReduceOp::kSum),
+              globalCols_, startRow_, std::move(localA_));
           structFingerprint_ = fp;
           ++structEpoch_;
         }
@@ -348,7 +352,7 @@ int SolverComponentBase::solve(RArray<double> solution, RArray<double> status,
         matrixDirty_ = false;
       }
       setupSeconds += setup.seconds();
-      ctx.matrix = &*distA_;
+      ctx.matrix = distA_;
       ctx.globalRows = distA_->globalRows();
       if (structEpoch_ != lastSolvedStructEpoch_ ||
           lastSolvedKind_ != OperatorKind::kAssembled) {
@@ -368,7 +372,8 @@ int SolverComponentBase::solve(RArray<double> solution, RArray<double> status,
                                              prec::modeFromEnv());
         if (pm == prec::Mode::kAuto) {
           const long long globalNnz = comm_.allreduceValue(
-              static_cast<long long>(localA_.nnz()), comm::ReduceOp::kSum);
+              static_cast<long long>(distA_->localBlock().nnz()),
+              comm::ReduceOp::kSum);
           pm = prec::resolveAuto(pm, globalNnz);
         }
         ctx.precision = pm;
@@ -390,7 +395,8 @@ int SolverComponentBase::solve(RArray<double> solution, RArray<double> status,
           // One fused two-lane allreduce agrees on the operator key and on
           // its global weight (the kAuto size gate).
           const std::uint64_t lanes[2] = {
-              structFingerprint_, static_cast<std::uint64_t>(localA_.nnz())};
+              structFingerprint_,
+              static_cast<std::uint64_t>(distA_->localBlock().nnz())};
           std::uint64_t sums[2] = {0, 0};
           comm_.allreduce(std::span<const std::uint64_t>(lanes),
                           std::span<std::uint64_t>(sums),

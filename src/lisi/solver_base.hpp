@@ -17,6 +17,7 @@
 #pragma once
 
 #include <map>
+#include <memory>
 #include <optional>
 
 #include "comm/comm.hpp"
@@ -50,8 +51,11 @@ enum class OperatorChange {
 /// Everything a backend needs for one solve call.
 struct SolveContext {
   const comm::Comm* comm = nullptr;
-  /// Assembled operator; null in matrix-free mode.
-  const sparse::DistCsrMatrix* matrix = nullptr;
+  /// Assembled operator; null in matrix-free mode.  Shared with the port,
+  /// which refreshes its values in place on a kSameStructure change: a
+  /// backend may keep this handle as a view across solves, and it never
+  /// dangles (DESIGN.md "Operator ownership").
+  std::shared_ptr<const sparse::DistCsrMatrix> matrix;
   /// Application-provided operator; null unless matrix-free mode is on.
   MatrixFree* matrixFree = nullptr;
   int localRows = 0;
@@ -181,10 +185,13 @@ class SolverComponentBase : public SparseSolver {
   int localNnz_ = -1;
   int globalCols_ = -1;
 
-  sparse::CsrMatrix localA_;  ///< adapted local rows, global columns (canonical)
+  /// Adapted local rows, global columns (canonical).  Held only between
+  /// setupMatrix and the next solve: a new structure moves it into distA_,
+  /// a same-structure refresh copies its values over and releases it.
+  sparse::CsrMatrix localA_;
   bool haveMatrix_ = false;
   bool matrixDirty_ = false;  ///< local block changed since distA_ was built
-  std::optional<sparse::DistCsrMatrix> distA_;
+  std::shared_ptr<sparse::DistCsrMatrix> distA_;
   /// Structural epoch: bumped when the sparsity pattern changes (fingerprint
   /// mismatch) and distA_ is rebuilt from scratch.
   std::uint64_t structEpoch_ = 0;

@@ -12,31 +12,6 @@ namespace {
 using lisi::sparse::CsrMatrix;
 using lisi::sparse::DistCsrMatrix;
 
-/// Extract the process-local diagonal block (rows owned by this rank,
-/// columns restricted to the owned range) with 0-based local indices.
-CsrMatrix localDiagonalBlock(const DistCsrMatrix& a) {
-  const CsrMatrix& loc = a.localBlock();
-  const int start = a.startRow();
-  const int end = start + a.localRows();
-  CsrMatrix blk;
-  blk.rows = a.localRows();
-  blk.cols = a.localRows();
-  blk.rowPtr.assign(static_cast<std::size_t>(blk.rows) + 1, 0);
-  for (int i = 0; i < loc.rows; ++i) {
-    for (int k = loc.rowPtr[static_cast<std::size_t>(i)];
-         k < loc.rowPtr[static_cast<std::size_t>(i) + 1]; ++k) {
-      const int c = loc.colIdx[static_cast<std::size_t>(k)];
-      if (c >= start && c < end) {
-        blk.colIdx.push_back(c - start);
-        blk.values.push_back(loc.values[static_cast<std::size_t>(k)]);
-      }
-    }
-    blk.rowPtr[static_cast<std::size_t>(i) + 1] =
-        static_cast<int>(blk.values.size());
-  }
-  return blk;
-}
-
 class JacobiPc final : public Preconditioner {
  public:
   explicit JacobiPc(const DistCsrMatrix& a) : invDiag_(a.localDiagonal()) {
@@ -68,7 +43,7 @@ class JacobiPc final : public Preconditioner {
 class LocalSorPc final : public Preconditioner {
  public:
   LocalSorPc(const DistCsrMatrix& a, double omega, int sweeps)
-      : blk_(localDiagonalBlock(a)), omega_(omega), sweeps_(sweeps) {
+      : blk_(a.ownedBlock()), omega_(omega), sweeps_(sweeps) {
     LISI_CHECK(omega > 0.0 && omega < 2.0,
                "SOR preconditioner: omega must be in (0, 2)");
     LISI_CHECK(sweeps >= 1, "SOR preconditioner: need at least one sweep");
@@ -89,7 +64,7 @@ class LocalSorPc final : public Preconditioner {
   [[nodiscard]] bool refresh(const DistCsrMatrix& a) override {
     // Same-pattern contract: the extracted diagonal block keeps its layout,
     // so only the values (and the cached row diagonals) need rewriting.
-    CsrMatrix blk = localDiagonalBlock(a);
+    CsrMatrix blk = a.ownedBlock();
     if (blk.rowPtr != blk_.rowPtr || blk.colIdx != blk_.colIdx) return false;
     blk_.values = std::move(blk.values);
     for (int i = 0; i < blk_.rows; ++i) {
@@ -200,8 +175,7 @@ class LocalSorPc final : public Preconditioner {
 /// PETSc's default parallel preconditioner configuration.
 class LocalIlu0Pc final : public Preconditioner {
  public:
-  explicit LocalIlu0Pc(const DistCsrMatrix& a) : lu_(localDiagonalBlock(a)) {
-    lu_.canonicalize();
+  explicit LocalIlu0Pc(const DistCsrMatrix& a) : lu_(a.ownedBlock()) {
     const int n = lu_.rows;
     diagPos_.assign(static_cast<std::size_t>(n), -1);
     for (int i = 0; i < n; ++i) {
@@ -221,8 +195,7 @@ class LocalIlu0Pc final : public Preconditioner {
     // Rewrite the factor storage with the fresh values over the fixed
     // ILU(0) pattern (zero fill: the factors live exactly on the block's
     // sparsity) and redo the numeric elimination.  diagPos_ stays valid.
-    CsrMatrix blk = localDiagonalBlock(a);
-    blk.canonicalize();
+    CsrMatrix blk = a.ownedBlock();
     if (blk.rowPtr != lu_.rowPtr || blk.colIdx != lu_.colIdx) return false;
     lu_.values = std::move(blk.values);
     factor();

@@ -42,13 +42,8 @@ void DistCsrMatrix::updateValues(const CsrMatrix& local) {
   LISI_CHECK(local.rowPtr == local_.rowPtr && local.colIdx == local_.colIdx,
              "updateValues: sparsity structure differs from the built "
              "operator (callers must pass the canonical same-pattern block)");
+  // The plan holds no values of its own, so this is the only copy.
   std::copy(local.values.begin(), local.values.end(), local_.values.begin());
-  // mapped_ shares local_'s value layout (buildHaloPlan copies local_ and
-  // remaps only the column indices), so the refresh is positional.
-  if (mapped_.values.size() == local.values.size()) {
-    std::copy(local.values.begin(), local.values.end(),
-              mapped_.values.begin());
-  }
   floatMirrorFresh_ = false;  // spmvFloat re-mirrors on next use
   gValueUpdates.fetch_add(1, std::memory_order_relaxed);
   obs::count("sparse.value_updates");
@@ -113,6 +108,34 @@ int DistCsrMatrix::localCols() const {
              "constructed without colStarts)");
   return colStarts_[static_cast<std::size_t>(comm_.rank()) + 1] -
          colStarts_[static_cast<std::size_t>(comm_.rank())];
+}
+
+CsrMatrix DistCsrMatrix::ownedBlock() const {
+  const int n = localCols();
+  const int start = colStarts_[static_cast<std::size_t>(comm_.rank())];
+  const auto owned = [start, n](int c) { return c >= start && c < start + n; };
+  CsrMatrix blk;
+  blk.rows = local_.rows;
+  blk.cols = n;
+  blk.rowPtr.assign(static_cast<std::size_t>(blk.rows) + 1, 0);
+  for (int i = 0; i < local_.rows; ++i) {
+    const auto first =
+        local_.colIdx.begin() + local_.rowPtr[static_cast<std::size_t>(i)];
+    const auto last =
+        local_.colIdx.begin() + local_.rowPtr[static_cast<std::size_t>(i) + 1];
+    blk.rowPtr[static_cast<std::size_t>(i) + 1] =
+        blk.rowPtr[static_cast<std::size_t>(i)] +
+        static_cast<int>(std::count_if(first, last, owned));
+  }
+  blk.colIdx.resize(static_cast<std::size_t>(blk.rowPtr.back()));
+  blk.values.resize(blk.colIdx.size());
+  std::size_t pos = 0;
+  for (std::size_t k = 0; k < local_.colIdx.size(); ++k) {
+    if (!owned(local_.colIdx[k])) continue;
+    blk.colIdx[pos] = local_.colIdx[k] - start;
+    blk.values[pos++] = local_.values[k];
+  }
+  return blk;
 }
 
 int DistCsrMatrix::numInteriorRows() const {
@@ -214,17 +237,18 @@ void DistCsrMatrix::buildHaloPlan() {
                    ghostCols_.end());
 
   // Remap the local block's columns: owned -> [0, nlocal), ghost ->
-  // nlocal + position in ghostCols_.
-  mapped_ = local_;
-  for (int& c : mapped_.colIdx) {
+  // nlocal + position in ghostCols_.  Values stay in local_.
+  mappedCols_.resize(local_.colIdx.size());
+  for (std::size_t k = 0; k < mappedCols_.size(); ++k) {
+    const int c = local_.colIdx[k];
     if (c >= myStart && c < myEnd) {
-      c -= myStart;
+      mappedCols_[k] = c - myStart;
     } else {
       const auto it = std::lower_bound(ghostCols_.begin(), ghostCols_.end(), c);
-      c = nlocal + static_cast<int>(it - ghostCols_.begin());
+      mappedCols_[k] = nlocal + static_cast<int>(it - ghostCols_.begin());
     }
   }
-  mapped_.cols = nlocal + static_cast<int>(ghostCols_.size());
+  extCols_ = nlocal + static_cast<int>(ghostCols_.size());
 
   // Group ghost columns by owner (ghostCols_ is sorted, so owners ascend).
   std::vector<std::vector<int>> needFrom(static_cast<std::size_t>(p));
@@ -304,11 +328,11 @@ void DistCsrMatrix::buildHaloPlan() {
   boundaryRows_.clear();
   boundaryCols_.clear();
   std::vector<char> readByBoundary(static_cast<std::size_t>(nlocal), 0);
-  for (int i = 0; i < mapped_.rows; ++i) {
+  for (int i = 0; i < local_.rows; ++i) {
     const auto first =
-        mapped_.colIdx.begin() + mapped_.rowPtr[static_cast<std::size_t>(i)];
-    const auto last = mapped_.colIdx.begin() +
-                      mapped_.rowPtr[static_cast<std::size_t>(i) + 1];
+        mappedCols_.begin() + local_.rowPtr[static_cast<std::size_t>(i)];
+    const auto last =
+        mappedCols_.begin() + local_.rowPtr[static_cast<std::size_t>(i) + 1];
     const bool interior =
         std::all_of(first, last, [nlocal](int c) { return c < nlocal; });
     extend(interior ? interiorRows_ : boundaryRows_, i);
@@ -336,8 +360,8 @@ void DistCsrMatrix::reserveScratch(Scratch<T>& s, int nVec) const {
   if (s.send.size() < sendIdx_.size() * nv) {
     s.send.resize(sendIdx_.size() * nv);
   }
-  if (s.xExt.size() < static_cast<std::size_t>(mapped_.cols) * nv) {
-    s.xExt.resize(static_cast<std::size_t>(mapped_.cols) * nv);
+  if (s.xExt.size() < static_cast<std::size_t>(extCols_) * nv) {
+    s.xExt.resize(static_cast<std::size_t>(extCols_) * nv);
   }
   if (nv > 1 && s.recv.size() < ghostCols_.size() * nv) {
     s.recv.resize(ghostCols_.size() * nv);
@@ -359,18 +383,15 @@ namespace {
 /// (4-core x86-64).
 template <class Run, class T>
 [[gnu::noinline]] void sweepRows(const std::vector<Run>& runs,
-                                 const CsrMatrix& a, const T* values,
-                                 const T* x, T* y) {
+                                 const int* rowPtr, const int* colIdx,
+                                 const T* values, const T* x, T* y) {
   for (const Run& run : runs) {
     for (int i = run.begin; i < run.end; ++i) {
       T acc = T(0);
-      for (int k = a.rowPtr[static_cast<std::size_t>(i)];
-           k < a.rowPtr[static_cast<std::size_t>(i) + 1]; ++k) {
-        acc += values[static_cast<std::size_t>(k)] *
-               x[static_cast<std::size_t>(
-                   a.colIdx[static_cast<std::size_t>(k)])];
+      for (int k = rowPtr[i]; k < rowPtr[i + 1]; ++k) {
+        acc += values[k] * x[colIdx[k]];
       }
-      y[static_cast<std::size_t>(i)] = acc;
+      y[i] = acc;
     }
   }
 }
@@ -381,10 +402,9 @@ template <class Run, class T>
 /// bitwise sweepRows on it.
 template <int G, class Run, class T>
 [[gnu::noinline]] void sweepRowsLanes(const std::vector<Run>& runs,
-                                      const CsrMatrix& a, const T* values,
-                                      const T* const* x, T* const* y) {
-  const int* rowPtr = a.rowPtr.data();
-  const int* colIdx = a.colIdx.data();
+                                      const int* rowPtr, const int* colIdx,
+                                      const T* values, const T* const* x,
+                                      T* const* y) {
   for (const Run& run : runs) {
     for (int i = run.begin; i < run.end; ++i) {
       T acc[G];
@@ -408,12 +428,12 @@ void DistCsrMatrix::spmvRuns(std::span<const T> x, std::span<T> y, int nVec,
   const auto nv = static_cast<std::size_t>(nVec);
   const auto nloc = static_cast<std::size_t>(localCols());
   const auto mloc = static_cast<std::size_t>(local_.rows);
-  const auto next = static_cast<std::size_t>(mapped_.cols);
+  const auto next = static_cast<std::size_t>(extCols_);
   // Precision accounting: value bytes this product moves — stored matrix
   // values plus the packed/received halo payload.
   const long long bytes =
       static_cast<long long>(sizeof(T)) *
-      (static_cast<long long>(mapped_.nnz()) +
+      (static_cast<long long>(local_.nnz()) +
        static_cast<long long>(nv) *
            (static_cast<long long>(sendIdx_.size()) +
             static_cast<long long>(ghostCols_.size())));
@@ -454,10 +474,13 @@ void DistCsrMatrix::spmvRuns(std::span<const T> x, std::span<T> y, int nVec,
   // Vector v reads x from xv + v * stride.  Batches sweep up to four
   // vectors per pass; one vector keeps sweepRows, since sweepRowsLanes<1>
   // measured ~15% slower on the 300^2 paper operator at p=1.
+  const int* rowPtr = local_.rowPtr.data();
+  const int* colIdx = mappedCols_.data();
+  const T* vals = values.data();
   const auto sweep = [&](const std::vector<Run>& rows, const T* xv,
                          std::size_t stride) {
     if (nv == 1) {
-      sweepRows(rows, mapped_, values.data(), xv, y.data());
+      sweepRows(rows, rowPtr, colIdx, vals, xv, y.data());
       return;
     }
     constexpr std::size_t kGroup = 4;
@@ -469,12 +492,11 @@ void DistCsrMatrix::spmvRuns(std::span<const T> x, std::span<T> y, int nVec,
         xs[q] = xv + (v + q) * stride;
         ys[q] = y.data() + (v + q) * mloc;
       }
-      const T* vals = values.data();
       switch (g) {
-        case 1: sweepRowsLanes<1>(rows, mapped_, vals, xs, ys); break;
-        case 2: sweepRowsLanes<2>(rows, mapped_, vals, xs, ys); break;
-        case 3: sweepRowsLanes<3>(rows, mapped_, vals, xs, ys); break;
-        default: sweepRowsLanes<4>(rows, mapped_, vals, xs, ys); break;
+        case 1: sweepRowsLanes<1>(rows, rowPtr, colIdx, vals, xs, ys); break;
+        case 2: sweepRowsLanes<2>(rows, rowPtr, colIdx, vals, xs, ys); break;
+        case 3: sweepRowsLanes<3>(rows, rowPtr, colIdx, vals, xs, ys); break;
+        default: sweepRowsLanes<4>(rows, rowPtr, colIdx, vals, xs, ys); break;
       }
     }
   };
@@ -514,7 +536,7 @@ void DistCsrMatrix::spmv(std::span<const double> xLocal,
   LISI_CHECK(static_cast<int>(yLocal.size()) == localRows(),
              "DistCsrMatrix::spmv: y size mismatch");
   obs::Span spmvSpan("sparse.spmv");
-  spmvRuns(xLocal, yLocal, 1, mapped_.values, scratch_);
+  spmvRuns(xLocal, yLocal, 1, local_.values, scratch_);
 }
 // lisi-lint: zero-alloc-end
 
@@ -531,12 +553,12 @@ void DistCsrMatrix::spmvFloat(std::span<const float> xLocal,
   if (!floatMirrorFresh_) {
     // Lazy mirror: cast the current values once; the halo plan, index
     // arrays, and row runs are shared with the double path.
-    mappedValsF_.assign(mapped_.values.begin(), mapped_.values.end());
+    valuesF_.assign(local_.values.begin(), local_.values.end());
     reserveScratch(scratchF_, 1);
     floatMirrorFresh_ = true;
   }
   obs::Span spmvSpan("sparse.spmv_f32");
-  spmvRuns(xLocal, yLocal, 1, mappedValsF_, scratchF_);
+  spmvRuns(xLocal, yLocal, 1, valuesF_, scratchF_);
 }
 
 void DistCsrMatrix::spmvMulti(std::span<const double> xLocal,
@@ -558,7 +580,7 @@ void DistCsrMatrix::spmvMulti(std::span<const double> xLocal,
              "DistCsrMatrix::spmvMulti: y size mismatch");
   obs::Span spmvSpan("sparse.spmv_multi");
   reserveScratch(scratch_, nVec);
-  spmvRuns(xLocal, yLocal, nVec, mapped_.values, scratch_);
+  spmvRuns(xLocal, yLocal, nVec, local_.values, scratch_);
 }
 
 CsrMatrix DistCsrMatrix::gatherToRoot(int root) const {

@@ -7,6 +7,9 @@
 // rank's columns touch (its "ghosts") are fetched from their owners through
 // a communication plan built once at construction.
 //
+// Values and row pointers are stored once, in that block; the plan keeps
+// only remapped column indices, which every sweep pairs with them.
+//
 // Every product runs one path.  The plan splits the local rows once into
 // runs of *interior* rows (touch no ghost column) and *boundary* rows.
 // Interior runs are swept in natural order straight from the caller's x
@@ -33,6 +36,8 @@ class DistCsrMatrix {
  public:
   /// Wrap this rank's block of rows [startRow, startRow + local.rows).
   /// `local.cols` must equal `globalCols` (column indices are global).
+  /// The block is kept as given (canonicalized in place): pass it by move
+  /// and the operator holds its values without a copy.
   /// Collective: all ranks of `comm` must construct together.
   ///
   /// For square operators the input vector of spmv() is partitioned like
@@ -61,6 +66,13 @@ class DistCsrMatrix {
   [[nodiscard]] const std::vector<int>& colStarts() const { return colStarts_; }
   /// Number of input-vector entries owned by this rank.
   [[nodiscard]] int localCols() const;
+
+  /// This rank's diagonal block: the owned rows restricted to the owned
+  /// input-vector columns (colStarts()), with local column indices and the
+  /// entries in stored order.  Counted, then filled, so its arrays are
+  /// exactly sized.  Block-local preconditioners (ILU(0), SOR, Gauss-Seidel
+  /// smoothers) factor or sweep this.
+  [[nodiscard]] CsrMatrix ownedBlock() const;
 
   /// Refresh the numerical values in place, keeping the halo-exchange plan,
   /// ghost column map, and all scratch.  `local` must be canonical (sorted
@@ -133,7 +145,7 @@ class DistCsrMatrix {
     int end;
   };
 
-  /// Per-scalar spmv scratch.  xExt holds one block of mapped_.cols
+  /// Per-scalar spmv scratch.  xExt holds one block of extCols_
   /// entries per vector: owned x (the boundaryCols_ entries), then the
   /// ghosts by slot.
   template <class T>
@@ -156,15 +168,16 @@ class DistCsrMatrix {
   comm::Comm comm_;
   int globalRows_ = 0;
   int globalCols_ = 0;
-  CsrMatrix local_;             ///< global column indices
+  CsrMatrix local_;             ///< global column indices; the only values
   std::vector<int> rowStarts_;  ///< row ownership boundaries, size P+1
   std::vector<int> colStarts_;  ///< input-vector ownership boundaries
 
   // Halo plan (built once):
   std::vector<int> ghostCols_;              ///< sorted global cols we need
-  CsrMatrix mapped_;                        ///< local_ with remapped columns:
+  std::vector<int> mappedCols_;             ///< local_.colIdx remapped:
                                             ///< owned -> [0,nlocal), ghost ->
                                             ///< nlocal + slot
+  int extCols_ = 0;                         ///< nlocal + ghosts
   std::vector<int> recvFromRanks_;          ///< ranks we receive ghosts from
   std::vector<int> recvCounts_;             ///< ghosts per recv rank
   std::vector<int> recvOffsets_;            ///< slot offset per recv rank
@@ -184,9 +197,9 @@ class DistCsrMatrix {
   mutable Scratch<double> scratch_;
   mutable std::size_t spmvRound_ = 0;       ///< rotates through spmvTags_
 
-  // Float32 value mirror for spmvFloat(), built lazily from mapped_ on
+  // Float32 value mirror for spmvFloat(), built lazily from local_ on
   // first use (the index structure is shared); updateValues marks it stale.
-  mutable std::vector<float> mappedValsF_;  ///< float copy of mapped_.values
+  mutable std::vector<float> valuesF_;      ///< float copy of local_.values
   mutable Scratch<float> scratchF_;
   mutable bool floatMirrorFresh_ = false;
 };

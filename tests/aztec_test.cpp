@@ -4,6 +4,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <memory>
 
 #include "aztec/aztecoo.hpp"
 #include "comm/comm.hpp"
@@ -151,6 +152,47 @@ TEST(AztecCrs, ExtractDiagonal) {
     a.extractDiagonal(d);
     for (int i = 0; i < map.numMyElements(); ++i) EXPECT_DOUBLE_EQ(d[i], 4.0);
   });
+}
+
+TEST(AztecCrs, ViewUsesTheOperatorWithoutCopying) {
+  // View mode: no copy and no second halo plan; the owner's in-place value
+  // refresh shows through, and the shared handle keeps the operator alive
+  // after the owner lets go.
+  const CsrMatrix g = lisi::sparse::laplacian2d(7, 6);
+  std::vector<double> xg(static_cast<std::size_t>(g.rows));
+  Rng rng(11);
+  for (auto& v : xg) v = rng.uniform(-1, 1);
+  for (int p : {1, 3}) {
+    World::run(p, [&](Comm& c) {
+      const Map map(g.rows, c);
+      const CrsMatrix copy = makeCrs(map, g);
+      auto owner = std::make_shared<lisi::sparse::DistCsrMatrix>(
+          c, g.rows, g.cols, map.minMyGlobalIndex(),
+          copy.assembled()->localBlock());
+      c.barrier();
+      const long long plans0 = lisi::sparse::haloPlanBuilds();
+      c.barrier();
+      CrsMatrix view(map, owner);
+      c.barrier();
+      EXPECT_EQ(lisi::sparse::haloPlanBuilds(), plans0);
+      c.barrier();
+      EXPECT_EQ(view.assembled(), owner.get());
+      EXPECT_THROW(view.replaceValues(owner->localBlock()), lisi::Error);
+      const Map other(g.rows + 1, c);
+      EXPECT_THROW(CrsMatrix(other, owner), lisi::Error);
+
+      CsrMatrix scaled = owner->localBlock();
+      for (double& v : scaled.values) v *= 1.5;
+      owner->updateValues(scaled);
+      CrsMatrix scaledCopy(map, scaled);
+      owner.reset();
+      const Vector x(map, sliceFor(map, xg));
+      Vector y(map), yRef(map);
+      view.apply(x, y);
+      scaledCopy.apply(x, yRef);
+      for (int i = 0; i < map.numMyElements(); ++i) EXPECT_EQ(y[i], yRef[i]);
+    });
+  }
 }
 
 /// Matrix-free operator implementing the 1-D Laplacian via neighbor

@@ -16,6 +16,7 @@
 #include <vector>
 
 #include "comm/comm.hpp"
+#include "aztec/aztecoo.hpp"
 #include "comm/comm_handle.hpp"
 #include "lisi/pde_driver.hpp"
 #include "lisi/sparse_solver.hpp"
@@ -235,6 +236,82 @@ TEST(LisiReuseSlu, ZeroFrozenPivotFallsBackToFullFactorization) {
     comm::releaseHandle(h);
   });
 }
+
+// ---- Aztec views the port's operator ------------------------------------
+
+class LisiAztecView : public ::testing::TestWithParam<int> {};  // ranks
+
+TEST_P(LisiAztecView, FreshSolveBuildsOnePlanAndMatchesCopyingCrs) {
+  // The port's operator is the only one: aztec views it instead of copying
+  // the block into a second operator with a second halo plan.  The solve is
+  // bitwise the native solve over a copying CrsMatrix of the same block.
+  const int gridN = 15;
+  World::run(GetParam(), [&](Comm& c) {
+    mesh::Pde5ptSpec spec;
+    spec.gridN = gridN;
+    const auto sys = mesh::assembleLocal(spec, c.rank(), c.size());
+    cca::Framework fw;
+    const long h = comm::registerHandle(c);
+    auto s = wireSolver(fw, h, 1, sys, gridN);
+
+    c.barrier();
+    const long long plans0 = sparse::haloPlanBuilds();
+    c.barrier();
+    const std::vector<double> x = feedAndSolve(*s, sys.localA, sys.localB);
+    c.barrier();
+    EXPECT_EQ(sparse::haloPlanBuilds() - plans0, c.size())
+        << "a fresh aztec port solve built more than one plan per rank";
+    c.barrier();
+
+    const aztec::Map map(sys.globalN, sys.localA.rows, c);
+    const aztec::CrsMatrix copy(map, sys.localA);
+    aztec::Vector xv(map);
+    const aztec::Vector bv(map, sys.localB);
+    aztec::AztecOO solver(copy, xv, bv);
+    solver.setOption(aztec::AZ_solver, aztec::AZ_gmres)
+        .setOption(aztec::AZ_precond, aztec::AZ_dom_decomp)
+        .setOption(aztec::AZ_kspace, 30)
+        .setOption(aztec::AZ_poly_ord, 3)
+        .setOption(aztec::AZ_conv, aztec::AZ_rhs);
+    ASSERT_EQ(solver.iterate(5000, 1e-10), 0);
+    const std::vector<double> xNative(xv.localView().begin(),
+                                      xv.localView().end());
+    EXPECT_EQ(x, xNative);
+    comm::releaseHandle(h);
+  });
+}
+
+TEST_P(LisiAztecView, SameStructureRefreshMatchesFreshComponentBitwise) {
+  // The port refreshes its operator in place and the view sees it: one
+  // value update per rank (no replaceValues copy), no plan, and the same
+  // bits as a fresh component fed the new values.
+  const int gridN = 15;
+  World::run(GetParam(), [&](Comm& c) {
+    mesh::Pde5ptSpec spec;
+    spec.gridN = gridN;
+    const auto sys = mesh::assembleLocal(spec, c.rank(), c.size());
+    cca::Framework fw;
+    const long h = comm::registerHandle(c);
+    auto s = wireSolver(fw, h, 1, sys, gridN);
+    (void)feedAndSolve(*s, sys, 1.0);
+
+    c.barrier();
+    const long long plans0 = sparse::haloPlanBuilds();
+    const long long updates0 = sparse::valueUpdates();
+    c.barrier();
+    const std::vector<double> x = feedAndSolve(*s, sys, 1.25);
+    c.barrier();
+    EXPECT_EQ(sparse::haloPlanBuilds() - plans0, 0);
+    EXPECT_EQ(sparse::valueUpdates() - updates0, c.size());
+    c.barrier();
+
+    auto fresh = wireSolver(fw, h, 1, sys, gridN);
+    EXPECT_EQ(x, feedAndSolve(*fresh, sys, 1.25));
+    comm::releaseHandle(h);
+  });
+}
+
+INSTANTIATE_TEST_SUITE_P(Ranks, LisiAztecView, ::testing::Values(1, 2, 4));
 
 // ---- FEM duplicate triplets: assembly order must not change the pattern --
 
