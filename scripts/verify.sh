@@ -19,9 +19,11 @@
 #              the sparse, slu, and operator-reuse binaries — the value-only
 #              update paths write positionally into frozen factor / halo-plan
 #              storage, which is exactly the bug class these sanitizers
-#              catch — plus the aztec and port suites, since the aztec port
-#              views storage the port owns (a use-after-free there is what
-#              ASan catches), plus the plugin suite, so dlopen-loaded
+#              catch — plus the aztec, pksp, hymg and port suites, since
+#              the aztec port views storage the port owns and the
+#              block-local preconditioners view their operator's storage
+#              (a use-after-free there is what ASan catches), plus the
+#              plugin suite, so dlopen-loaded
 #              backends and the host callback bridge run under the
 #              allocator checks;
 #   4b. plugin: compile the reference plugin OUT-OF-TREE — a scratch dir
@@ -150,7 +152,9 @@ cmake --build build-tsan -j --target comm_test sparse_dist_test pksp_test \
 # ---- 4. ASan+UBSan -----------------------------------------------------
 # aztec_test, lisi_solver_test and lisi_crossbackend_test are here because
 # the aztec port holds a view of the operator the port owns: a view that
-# outlived its storage would be a use-after-free.
+# outlived its storage would be a use-after-free.  pksp_test and hymg_test
+# are here for the same reason: pksp SOR/ILU(0), aztec ILU/SGS and HyMG's
+# hybrid Gauss-Seidel read their operator through its owned-block view.
 # plugin_test is here deliberately: it dlopens the refsolver and the four
 # broken-on-purpose fixture plugins (all built with the same sanitizer
 # flags by this tree), so the host↔plugin callback bridge, the option
@@ -158,7 +162,7 @@ cmake --build build-tsan -j --target comm_test sparse_dist_test pksp_test \
 cmake -B build-asan -S . -DLISI_SANITIZE=address+undefined
 cmake --build build-asan -j --target sparse_dist_test slu_test \
   lisi_reuse_test plugin_test aztec_test lisi_solver_test \
-  lisi_crossbackend_test
+  lisi_crossbackend_test pksp_test hymg_test
 ./build-asan/tests/sparse_dist_test
 ./build-asan/tests/slu_test
 ./build-asan/tests/lisi_reuse_test
@@ -166,6 +170,8 @@ cmake --build build-asan -j --target sparse_dist_test slu_test \
 ./build-asan/tests/aztec_test
 ./build-asan/tests/lisi_solver_test
 ./build-asan/tests/lisi_crossbackend_test
+./build-asan/tests/pksp_test
+./build-asan/tests/hymg_test
 
 # ---- 4b. plugin boundary -----------------------------------------------
 # The ABI header must be self-contained: copy it ALONE into a scratch dir

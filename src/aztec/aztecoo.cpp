@@ -9,7 +9,7 @@
 namespace aztec {
 namespace {
 
-using lisi::sparse::CsrMatrix;
+using lisi::sparse::OwnedBlockView;
 
 bool isBad(double v) { return std::isnan(v) || std::isinf(v); }
 
@@ -59,150 +59,134 @@ PcApply makeNeumann(const RowMatrix& a, int order) {
   };
 }
 
+/// The view's diagonal positions; throws `what` when a row has none.
+std::vector<int> diagonalPositions(const OwnedBlockView& v, const char* what) {
+  std::vector<int> pos = v.diagonalPositions();
+  for (const int k : pos) LISI_CHECK(k >= 0, what);
+  return pos;
+}
+
 /// Local-block ILU(0) (domain decomposition with one subdomain per rank).
 /// Implemented independently of PKSP's ILU: packages are self-contained.
+/// The pattern is the operator's, read through its owned-block view; only
+/// the factored values (in the operator's layout) and the diagonal
+/// positions are kept.  The operator must outlive the preconditioner.
 class LocalIlu {
  public:
   explicit LocalIlu(const lisi::sparse::DistCsrMatrix& a)
-      : lu_(a.ownedBlock()) {
-    diagPos_.assign(static_cast<std::size_t>(lu_.rows), -1);
-    for (int i = 0; i < lu_.rows; ++i) {
-      for (int k = lu_.rowPtr[static_cast<std::size_t>(i)];
-           k < lu_.rowPtr[static_cast<std::size_t>(i) + 1]; ++k) {
-        if (lu_.colIdx[static_cast<std::size_t>(k)] == i) {
-          diagPos_[static_cast<std::size_t>(i)] = k;
-        }
-      }
-      LISI_CHECK(diagPos_[static_cast<std::size_t>(i)] >= 0,
-                 "AZ_dom_decomp ILU: structurally zero diagonal");
-    }
+      : blk_(a.ownedBlockView()),
+        diagPos_(diagonalPositions(
+            blk_, "AZ_dom_decomp ILU: structurally zero diagonal")),
+        lu_(blk_.values, blk_.values + blk_.nnz()) {
     factor();
   }
 
   void solve(std::span<const double> r, std::span<double> z) const {
-    const int n = lu_.rows;
+    const int n = blk_.rows;
     for (int i = 0; i < n; ++i) {
       double acc = r[static_cast<std::size_t>(i)];
-      for (int k = lu_.rowPtr[static_cast<std::size_t>(i)];
-           k < diagPos_[static_cast<std::size_t>(i)]; ++k) {
-        acc -= lu_.values[static_cast<std::size_t>(k)] *
-               z[static_cast<std::size_t>(lu_.colIdx[static_cast<std::size_t>(k)])];
+      const int d = diagPos_[static_cast<std::size_t>(i)];
+      for (int k = blk_.ownedBegin(i); k < d; ++k) {
+        acc -= lu_[static_cast<std::size_t>(k)] *
+               z[static_cast<std::size_t>(blk_.colIdx[k])];
       }
       z[static_cast<std::size_t>(i)] = acc;
     }
     for (int i = n - 1; i >= 0; --i) {
       double acc = z[static_cast<std::size_t>(i)];
-      for (int k = diagPos_[static_cast<std::size_t>(i)] + 1;
-           k < lu_.rowPtr[static_cast<std::size_t>(i) + 1]; ++k) {
-        acc -= lu_.values[static_cast<std::size_t>(k)] *
-               z[static_cast<std::size_t>(lu_.colIdx[static_cast<std::size_t>(k)])];
+      const int end = blk_.ownedEnd(i);
+      for (int k = diagPos_[static_cast<std::size_t>(i)] + 1; k < end; ++k) {
+        acc -= lu_[static_cast<std::size_t>(k)] *
+               z[static_cast<std::size_t>(blk_.colIdx[k])];
       }
       z[static_cast<std::size_t>(i)] =
-          acc / lu_.values[static_cast<std::size_t>(
+          acc / lu_[static_cast<std::size_t>(
                     diagPos_[static_cast<std::size_t>(i)])];
     }
   }
 
  private:
+  /// Row j's U entries meet row i's entries after k in one merge (both
+  /// rows are sorted by column): no scratch.
   void factor() {
-    const int n = lu_.rows;
-    std::vector<int> pos(static_cast<std::size_t>(n), -1);
-    for (int i = 0; i < n; ++i) {
-      const int rb = lu_.rowPtr[static_cast<std::size_t>(i)];
-      const int re = lu_.rowPtr[static_cast<std::size_t>(i) + 1];
-      for (int k = rb; k < re; ++k) {
-        pos[static_cast<std::size_t>(lu_.colIdx[static_cast<std::size_t>(k)])] = k;
-      }
-      for (int k = rb; k < re; ++k) {
-        const int j = lu_.colIdx[static_cast<std::size_t>(k)];
-        if (j >= i) break;
-        const double piv = lu_.values[static_cast<std::size_t>(
-            diagPos_[static_cast<std::size_t>(j)])];
+    const int* col = blk_.colIdx;
+    for (int i = 0; i < blk_.rows; ++i) {
+      const int re = blk_.ownedEnd(i);
+      const int di = diagPos_[static_cast<std::size_t>(i)];
+      for (int k = blk_.ownedBegin(i); k < di; ++k) {
+        const int dj = diagPos_[static_cast<std::size_t>(col[k])];
+        const double piv = lu_[static_cast<std::size_t>(dj)];
         LISI_CHECK(piv != 0.0, "AZ_dom_decomp ILU: zero pivot");
-        const double lij = lu_.values[static_cast<std::size_t>(k)] / piv;
-        lu_.values[static_cast<std::size_t>(k)] = lij;
-        for (int kk = diagPos_[static_cast<std::size_t>(j)] + 1;
-             kk < lu_.rowPtr[static_cast<std::size_t>(j) + 1]; ++kk) {
-          const int p = pos[static_cast<std::size_t>(
-              lu_.colIdx[static_cast<std::size_t>(kk)])];
-          if (p >= 0) {
-            lu_.values[static_cast<std::size_t>(p)] -=
-                lij * lu_.values[static_cast<std::size_t>(kk)];
+        const double lij = lu_[static_cast<std::size_t>(k)] / piv;
+        lu_[static_cast<std::size_t>(k)] = lij;
+        const int je = blk_.ownedEnd(col[k]);
+        int p = k + 1;
+        for (int kk = dj + 1; kk < je && p < re; ++kk) {
+          while (p < re && col[p] < col[kk]) ++p;
+          if (p < re && col[p] == col[kk]) {
+            lu_[static_cast<std::size_t>(p)] -=
+                lij * lu_[static_cast<std::size_t>(kk)];
           }
         }
       }
-      for (int k = rb; k < re; ++k) {
-        pos[static_cast<std::size_t>(lu_.colIdx[static_cast<std::size_t>(k)])] = -1;
-      }
-      LISI_CHECK(lu_.values[static_cast<std::size_t>(
-                     diagPos_[static_cast<std::size_t>(i)])] != 0.0,
+      LISI_CHECK(lu_[static_cast<std::size_t>(di)] != 0.0,
                  "AZ_dom_decomp ILU: zero pivot");
     }
   }
 
-  CsrMatrix lu_;
+  OwnedBlockView blk_;
   std::vector<int> diagPos_;
+  std::vector<double> lu_;
 };
 
 /// Symmetric Gauss-Seidel on the local diagonal block:
 ///   M = (D + L) D^{-1} (D + U)   (exact for the local block, Jacobi-like
 ///   across rank boundaries).  Preserves symmetry for SPD matrices, so it
-///   is safe under CG — unlike plain (one-sided) Gauss-Seidel.
+///   is safe under CG — unlike plain (one-sided) Gauss-Seidel.  Reads the
+///   operator's values through its owned-block view and keeps only the
+///   diagonal positions; the operator must outlive it.
 class LocalSgs {
  public:
   explicit LocalSgs(const lisi::sparse::DistCsrMatrix& a)
-      : blk_(a.ownedBlock()) {
-    diagPos_.assign(static_cast<std::size_t>(blk_.rows), -1);
-    for (int i = 0; i < blk_.rows; ++i) {
-      for (int k = blk_.rowPtr[static_cast<std::size_t>(i)];
-           k < blk_.rowPtr[static_cast<std::size_t>(i) + 1]; ++k) {
-        if (blk_.colIdx[static_cast<std::size_t>(k)] == i) {
-          diagPos_[static_cast<std::size_t>(i)] = k;
-        }
-      }
-      LISI_CHECK(diagPos_[static_cast<std::size_t>(i)] >= 0 &&
-                     blk_.values[static_cast<std::size_t>(
-                         diagPos_[static_cast<std::size_t>(i)])] != 0.0,
-                 "AZ_sym_GS: zero or missing diagonal");
+      : blk_(a.ownedBlockView()),
+        diagPos_(
+            diagonalPositions(blk_, "AZ_sym_GS: zero or missing diagonal")) {
+    for (const int k : diagPos_) {
+      LISI_CHECK(blk_.values[k] != 0.0, "AZ_sym_GS: zero or missing diagonal");
     }
   }
 
   void solve(std::span<const double> r, std::span<double> z) const {
     const int n = blk_.rows;
+    const double* val = blk_.values;
     // Forward: (D + L) y = r.
     for (int i = 0; i < n; ++i) {
       double acc = r[static_cast<std::size_t>(i)];
-      for (int k = blk_.rowPtr[static_cast<std::size_t>(i)];
-           k < diagPos_[static_cast<std::size_t>(i)]; ++k) {
-        acc -= blk_.values[static_cast<std::size_t>(k)] *
-               z[static_cast<std::size_t>(blk_.colIdx[static_cast<std::size_t>(k)])];
+      const int d = diagPos_[static_cast<std::size_t>(i)];
+      for (int k = blk_.ownedBegin(i); k < d; ++k) {
+        acc -= val[k] * z[static_cast<std::size_t>(blk_.colIdx[k])];
       }
-      z[static_cast<std::size_t>(i)] =
-          acc / blk_.values[static_cast<std::size_t>(
-                    diagPos_[static_cast<std::size_t>(i)])];
+      z[static_cast<std::size_t>(i)] = acc / val[d];
     }
     // Scale by D: w = D y.
     for (int i = 0; i < n; ++i) {
       z[static_cast<std::size_t>(i)] *=
-          blk_.values[static_cast<std::size_t>(
-              diagPos_[static_cast<std::size_t>(i)])];
+          val[diagPos_[static_cast<std::size_t>(i)]];
     }
     // Backward: (D + U) z = w.
     for (int i = n - 1; i >= 0; --i) {
       double acc = z[static_cast<std::size_t>(i)];
-      for (int k = diagPos_[static_cast<std::size_t>(i)] + 1;
-           k < blk_.rowPtr[static_cast<std::size_t>(i) + 1]; ++k) {
-        acc -= blk_.values[static_cast<std::size_t>(k)] *
-               z[static_cast<std::size_t>(blk_.colIdx[static_cast<std::size_t>(k)])];
+      const int end = blk_.ownedEnd(i);
+      for (int k = diagPos_[static_cast<std::size_t>(i)] + 1; k < end; ++k) {
+        acc -= val[k] * z[static_cast<std::size_t>(blk_.colIdx[k])];
       }
       z[static_cast<std::size_t>(i)] =
-          acc / blk_.values[static_cast<std::size_t>(
-                    diagPos_[static_cast<std::size_t>(i)])];
+          acc / val[diagPos_[static_cast<std::size_t>(i)]];
     }
   }
 
  private:
-  CsrMatrix blk_;
+  OwnedBlockView blk_;
   std::vector<int> diagPos_;
 };
 
@@ -604,6 +588,10 @@ double AztecOO::param(int index) const {
   LISI_CHECK(index >= 0 && index < AZ_PARAMS_SIZE,
              "AztecOO::param: index out of range");
   return params_[static_cast<std::size_t>(index)];
+}
+
+void AztecOO::precondition(const Vector& r, Vector& z) const {
+  makePreconditioner(*a_, options_[AZ_precond], options_[AZ_poly_ord])(r, z);
 }
 
 int AztecOO::iterate() {

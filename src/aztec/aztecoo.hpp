@@ -101,6 +101,11 @@ class AztecOO {
   /// every lane converged.  Collective.
   int iterateMulti(int maxIter, double tol);
 
+  /// z = M^{-1} r: one application of the preconditioner AZ_precond
+  /// selects, built from the operator's current values, as iterate applies
+  /// it (Aztec's AZ_precondition).  Collective.
+  void precondition(const Vector& r, Vector& z) const;
+
   [[nodiscard]] int numIters() const {
     return static_cast<int>(status_[AZ_its]);
   }

@@ -17,6 +17,7 @@ using lisi::comm::Comm;
 using lisi::sparse::BlockRowPartition;
 using lisi::sparse::CsrMatrix;
 using lisi::sparse::DistCsrMatrix;
+using lisi::sparse::OwnedBlockView;
 
 Stencil5 laplaceStencil(double h) {
   const double ih2 = 1.0 / (h * h);
@@ -235,8 +236,8 @@ struct Level {
   std::unique_ptr<DistCsrMatrix> p;  ///< prolongation from the next level
   std::unique_ptr<DistCsrMatrix> r;  ///< restriction to the next level
   std::vector<double> invDiag;       ///< Jacobi smoother data
-  // Hybrid GS data: local diagonal block in local indices.
-  CsrMatrix gsBlock;
+  // Hybrid GS data: the diagonal positions in `a`'s owned-block view,
+  // whose values the smoother reads in place.
   std::vector<int> gsDiagPos;
   // Per-level solve scratch, sized once in build() so smooth()/cycle()
   // never allocate (same discipline as the DistCsrMatrix halo plan).
@@ -313,19 +314,10 @@ void Solver::Impl::build(int gridN) {
       d = 1.0 / d;
     }
     if (options.smoother == Smoother::kHybridGs) {
-      CsrMatrix blk = lvl.a->ownedBlock();
-      lvl.gsDiagPos.assign(static_cast<std::size_t>(blk.rows), -1);
-      for (int i = 0; i < blk.rows; ++i) {
-        for (int k = blk.rowPtr[static_cast<std::size_t>(i)];
-             k < blk.rowPtr[static_cast<std::size_t>(i) + 1]; ++k) {
-          if (blk.colIdx[static_cast<std::size_t>(k)] == i) {
-            lvl.gsDiagPos[static_cast<std::size_t>(i)] = k;
-          }
-        }
-        LISI_CHECK(lvl.gsDiagPos[static_cast<std::size_t>(i)] >= 0,
-                   "HyMG: missing diagonal in local block");
+      lvl.gsDiagPos = lvl.a->ownedBlockView().diagonalPositions();
+      for (const int k : lvl.gsDiagPos) {
+        LISI_CHECK(k >= 0, "HyMG: missing diagonal in local block");
       }
-      lvl.gsBlock = std::move(blk);
     }
     levels.push_back(std::move(lvl));
 
@@ -418,30 +410,14 @@ void Solver::Impl::refreshValues() {
       const Level& fine = levels[l - 1];
       const DistCsrMatrix prod =
           lisi::sparse::galerkinProduct(*fine.r, *fine.a, *fine.p);
-      lvl.a->updateValues(prod.localBlock());
+      lvl.a->updateValues(prod.globalBlock());
     }
-    // Smoother data: same recipes as build(), values only.
+    // Smoother data: same recipes as build(), values only.  The hybrid-GS
+    // smoother reads the refreshed values in place.
     lvl.invDiag = lvl.a->localDiagonal();
     for (double& d : lvl.invDiag) {
       LISI_CHECK(d != 0.0, "HyMG: zero diagonal on a level");
       d = 1.0 / d;
-    }
-    if (options.smoother == Smoother::kHybridGs) {
-      const CsrMatrix& loc = lvl.a->localBlock();
-      const int s = lvl.a->startRow();
-      const int e = s + lvl.a->localRows();
-      std::size_t pos = 0;
-      for (int i = 0; i < loc.rows; ++i) {
-        for (int k = loc.rowPtr[static_cast<std::size_t>(i)];
-             k < loc.rowPtr[static_cast<std::size_t>(i) + 1]; ++k) {
-          const int c = loc.colIdx[static_cast<std::size_t>(k)];
-          if (c >= s && c < e) {
-            lvl.gsBlock.values[pos++] = loc.values[static_cast<std::size_t>(k)];
-          }
-        }
-      }
-      LISI_CHECK(pos == lvl.gsBlock.values.size(),
-                 "HyMG: local block sparsity changed during refresh");
     }
   }
   factorCoarse();
@@ -456,7 +432,10 @@ void Solver::Impl::mirrorLowPrecision() {
   for (std::size_t l = 0; l < levels.size(); ++l) {
     Level& lvl = levels[l];
     lvl.invDiagF.assign(lvl.invDiag.begin(), lvl.invDiag.end());
-    lvl.gsValsF.assign(lvl.gsBlock.values.begin(), lvl.gsBlock.values.end());
+    if (options.smoother == Smoother::kHybridGs) {
+      const OwnedBlockView blk = lvl.a->ownedBlockView();
+      lvl.gsValsF.assign(blk.values, blk.values + blk.nnz());
+    }
     const auto m = static_cast<std::size_t>(lvl.a->localRows());
     lvl.smoothRF.assign(m, 0.0f);
     if (l + 1 < levels.size()) {
@@ -487,20 +466,16 @@ void Solver::Impl::smooth(const Level& lvl, std::span<const double> b,
     } else {
       // Hybrid GS: x += (D + L_local)^{-1} r (forward substitution on the
       // local block's lower triangle).
-      const CsrMatrix& blk = lvl.gsBlock;
+      const OwnedBlockView blk = lvl.a->ownedBlockView();
       for (int i = 0; i < blk.rows; ++i) {
         double acc = r[static_cast<std::size_t>(i)];
-        for (int k = blk.rowPtr[static_cast<std::size_t>(i)];
-             k < lvl.gsDiagPos[static_cast<std::size_t>(i)]; ++k) {
-          acc -= blk.values[static_cast<std::size_t>(k)] *
-                 r[static_cast<std::size_t>(
-                     blk.colIdx[static_cast<std::size_t>(k)])];
+        const int d = lvl.gsDiagPos[static_cast<std::size_t>(i)];
+        for (int k = blk.ownedBegin(i); k < d; ++k) {
+          acc -= blk.values[k] * r[static_cast<std::size_t>(blk.colIdx[k])];
         }
         // Reuse r to hold the correction (already-final entries only are
         // read above because the block's lower columns are < i).
-        r[static_cast<std::size_t>(i)] =
-            acc / blk.values[static_cast<std::size_t>(
-                      lvl.gsDiagPos[static_cast<std::size_t>(i)])];
+        r[static_cast<std::size_t>(i)] = acc / blk.values[d];
       }
       for (std::size_t i = 0; i < m; ++i) x[i] += r[i];
     }
@@ -563,18 +538,15 @@ void Solver::Impl::smoothF(const Level& lvl, std::span<const float> b,
         x[i] += w * lvl.invDiagF[i] * r[i];
       }
     } else {
-      const CsrMatrix& blk = lvl.gsBlock;
+      const OwnedBlockView blk = lvl.a->ownedBlockView();
+      const float* vals = lvl.gsValsF.data();
       for (int i = 0; i < blk.rows; ++i) {
         float acc = r[static_cast<std::size_t>(i)];
-        for (int k = blk.rowPtr[static_cast<std::size_t>(i)];
-             k < lvl.gsDiagPos[static_cast<std::size_t>(i)]; ++k) {
-          acc -= lvl.gsValsF[static_cast<std::size_t>(k)] *
-                 r[static_cast<std::size_t>(
-                     blk.colIdx[static_cast<std::size_t>(k)])];
+        const int d = lvl.gsDiagPos[static_cast<std::size_t>(i)];
+        for (int k = blk.ownedBegin(i); k < d; ++k) {
+          acc -= vals[k] * r[static_cast<std::size_t>(blk.colIdx[k])];
         }
-        r[static_cast<std::size_t>(i)] =
-            acc / lvl.gsValsF[static_cast<std::size_t>(
-                      lvl.gsDiagPos[static_cast<std::size_t>(i)])];
+        r[static_cast<std::size_t>(i)] = acc / vals[d];
       }
       for (std::size_t i = 0; i < m; ++i) x[i] += r[i];
       lisi::prec::noteBytesLow(
@@ -692,6 +664,14 @@ void Solver::setLowPrecision(bool enable) {
   impl_->fineBF.clear();
   impl_->fineXF.clear();
   impl_->coarseLu.dropFloatMirror();
+}
+
+void Solver::smooth(std::span<const double> b, std::span<double> x,
+                    int sweeps) const {
+  LISI_CHECK(static_cast<int>(b.size()) == fineLocalRows() &&
+                 b.size() == x.size(),
+             "HyMG::smooth: size mismatch");
+  impl_->smooth(impl_->levels.front(), b, x, sweeps);
 }
 
 void Solver::applyCycle(std::span<const double> b, std::span<double> x) const {

@@ -127,6 +127,12 @@ class Solver {
   /// preconditioner form (linear in b).  Collective.
   void applyCycle(std::span<const double> b, std::span<double> x) const;
 
+  /// `sweeps` fine-level smoother sweeps on x, exactly as the float64
+  /// cycle runs them; x carries the guess in and the result out.
+  /// Collective.
+  void smooth(std::span<const double> b, std::span<double> x,
+              int sweeps) const;
+
   /// Iterate cycles until ||b - A x|| <= rtol * ||b|| or maxCycles.
   /// x carries the initial guess in and the solution out.  Collective.
   SolveInfo solve(std::span<const double> b, std::span<double> x, double rtol,

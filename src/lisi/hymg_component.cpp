@@ -9,6 +9,7 @@
 //                 default 0: pure Laplacian)
 // and checks that the supplied matrix matches the rediscretized fine-level
 // operator (so a mismatched matrix is an error, not silent wrong answers).
+#include <algorithm>
 #include <array>
 #include <limits>
 
@@ -96,23 +97,26 @@ class HymgSolverPort final : public detail::SolverComponentBase {
   /// allreduce agrees on the largest difference and on whether every
   /// rank's blocks are identical.  Collective.
   int validateFineLevel(const detail::SolveContext& ctx) {
-    const sparse::CsrMatrix& app = ctx.matrix->localBlock();
-    const sparse::CsrMatrix& fine = mg_->fineMatrix().localBlock();
-    const bool identical = app.rowPtr == fine.rowPtr &&
-                           app.colIdx == fine.colIdx &&
-                           app.values == fine.values;
+    const sparse::DistCsrMatrix& app = *ctx.matrix;
+    const sparse::DistCsrMatrix& fine = mg_->fineMatrix();
+    const sparse::OwnedBlockView av = app.ownedBlockView();
+    const bool identical =
+        app.sameStructure(fine) &&
+        std::equal(av.values, av.values + av.nnz(),
+                   fine.ownedBlockView().values);
     std::array<double, 2> local{0.0, identical ? 0.0 : 1.0};
     if (!identical) {
-      local[0] = app.rows == fine.rows
-                     ? sparse::maxAbsDiff(app, fine)
+      // Cold path: compare in global columns (the numberings may differ).
+      local[0] = app.localRows() == fine.localRows()
+                     ? sparse::maxAbsDiff(app.globalBlock(), fine.globalBlock())
                      : std::numeric_limits<double>::infinity();
     }
     std::array<double, 2> global{};
     ctx.comm->allreduce(std::span<const double>(local),
                         std::span<double>(global), comm::ReduceOp::kMax);
-    const double scale = sparse::infNorm(app) + 1.0;
     fineIsOperator_ = global[1] == 0.0;
-    if (global[0] > 1e-8 * scale) {
+    if (global[0] > 0.0 &&
+        global[0] > 1e-8 * (sparse::infNorm(app.globalBlock()) + 1.0)) {
       mg_.reset();
       return static_cast<int>(ErrorCode::kInvalidArgument);
     }

@@ -38,7 +38,13 @@ class SluSolverPort final : public detail::SolverComponentBase {
 
     if (ctx.change != detail::OperatorChange::kSameOperator || !haveFactor_ ||
         factorLow_ != mixed) {
-      const sparse::CsrMatrix global = a.gatherToRoot(0);
+      // The gathered CSR is only the conversion's input: it is freed before
+      // the factorization grows its fill.
+      sparse::CscMatrix csc;
+      {
+        const sparse::CsrMatrix global = a.gatherToRoot(0);
+        if (isRoot) csc = sparse::csrToCsc(global);
+      }
       int failed = 0;
       if (isRoot) {
         slu::Options opts;
@@ -52,7 +58,6 @@ class SluSolverPort final : public detail::SolverComponentBase {
         opts.lowPrecision = mixed;
         if (failed == 0) {
           try {
-            sparse::CscMatrix csc = sparse::csrToCsc(global);
             // Same nonzero pattern: skip the symbolic phase and replay the
             // numeric factorization in the frozen ordering
             // (SamePattern_SameRowPerm).  Any defect — pattern drift, a

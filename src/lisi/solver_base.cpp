@@ -1,6 +1,7 @@
 #include "lisi/solver_base.hpp"
 
 #include <charconv>
+#include <cstring>
 #include <sstream>
 
 #include "obs/obs.hpp"
@@ -324,19 +325,33 @@ int SolverComponentBase::solve(RArray<double> solution, RArray<double> status,
       if (matrixDirty_ || !distA_) {
         obs::Span span("lisi.setup");
         // Structural fingerprint of the freshly adapted canonical block.
-        // One min-allreduce makes the decision collective: the pattern is
-        // "same" only if EVERY rank kept its local pattern, so all ranks
-        // take the same branch below.
+        // One two-lane min-allreduce makes the decision collective: the
+        // pattern is "same" only if EVERY rank kept its local pattern, and
+        // the operator is unchanged only if every rank's values are also
+        // bitwise those the operator holds, so all ranks take the same
+        // branch below.
         const std::uint64_t fp = structureHash(localA_, startRow_);
-        const int sameLocal = (distA_ && fp == structFingerprint_) ? 1 : 0;
-        const bool samePattern =
-            comm_.allreduceValue(sameLocal, comm::ReduceOp::kMin) == 1;
-        if (samePattern) {
+        int same[2] = {(distA_ && fp == structFingerprint_) ? 1 : 0, 0};
+        if (same[0] == 1) {
+          const sparse::OwnedBlockView held = distA_->ownedBlockView();
+          const std::size_t n = localA_.values.size();
+          same[1] = n == static_cast<std::size_t>(held.nnz()) &&
+                    (n == 0 || std::memcmp(localA_.values.data(), held.values,
+                                           n * sizeof(double)) == 0);
+        }
+        comm_.allreduce(std::span<const int>(same), std::span<int>(same),
+                        comm::ReduceOp::kMin);
+        const bool samePattern = same[0] == 1;
+        if (samePattern && same[1] == 1) {
+          // Bitwise the operator already held: kSameOperator, no refresh.
+          localA_ = {};
+        } else if (samePattern) {
           // Value-only refresh: halo plan, ghost column map, and scratch
           // all survive; no communication, no allocation.  The adapted
           // block has served its purpose.
           distA_->updateValues(localA_);
           localA_ = {};
+          ++valueEpoch_;
         } else {
           // Collective: every rank rebuilds the distributed operator
           // together.  The old operator goes first (a backend view may
@@ -347,8 +362,8 @@ int SolverComponentBase::solve(RArray<double> solution, RArray<double> status,
               globalCols_, startRow_, std::move(localA_));
           structFingerprint_ = fp;
           ++structEpoch_;
+          ++valueEpoch_;
         }
-        ++valueEpoch_;
         matrixDirty_ = false;
       }
       setupSeconds += setup.seconds();
@@ -372,7 +387,7 @@ int SolverComponentBase::solve(RArray<double> solution, RArray<double> status,
                                              prec::modeFromEnv());
         if (pm == prec::Mode::kAuto) {
           const long long globalNnz = comm_.allreduceValue(
-              static_cast<long long>(distA_->localBlock().nnz()),
+              static_cast<long long>(distA_->localNnz()),
               comm::ReduceOp::kSum);
           pm = prec::resolveAuto(pm, globalNnz);
         }
@@ -396,7 +411,7 @@ int SolverComponentBase::solve(RArray<double> solution, RArray<double> status,
           // its global weight (the kAuto size gate).
           const std::uint64_t lanes[2] = {
               structFingerprint_,
-              static_cast<std::uint64_t>(distA_->localBlock().nnz())};
+              static_cast<std::uint64_t>(distA_->localNnz())};
           std::uint64_t sums[2] = {0, 0};
           comm_.allreduce(std::span<const std::uint64_t>(lanes),
                           std::span<std::uint64_t>(sums),

@@ -2,6 +2,7 @@
 // and the solve dispatcher.
 #include "pksp/pksp.hpp"
 
+#include <atomic>
 #include <cmath>
 #include <sstream>
 
@@ -50,6 +51,10 @@ struct PkspSolver {
 };
 
 namespace {
+
+// Process-wide twin of PkspSolver::pcRefreshes (relaxed: a monotonic
+// counter read between worlds, after the rank threads joined).
+std::atomic<long long> gPcRefreshes{0};
 
 int guard(KSP ksp) { return ksp == nullptr ? PKSP_ERR_ARG : PKSP_SUCCESS; }
 
@@ -125,6 +130,7 @@ int setupPc(KSP ksp) {
     }
     if (refreshed) {
       ++ksp->pcRefreshes;
+      gPcRefreshes.fetch_add(1, std::memory_order_relaxed);
       lisi::obs::count("pksp.pc_refreshes");
       return PKSP_SUCCESS;
     }
@@ -185,7 +191,9 @@ int KSPSetOperator(KSP ksp, const lisi::sparse::DistCsrMatrix* a,
       }
       break;
     case PKSP_DIFFERENT_NONZERO_PATTERN:
-      if (!(ksp->reusePc && ksp->pc)) ksp->pcStale = true;
+      // Even a reused preconditioner is rebuilt: it views the pattern of
+      // the operator it was built from, which need not outlive this call.
+      ksp->pcStale = true;
       break;
     default:
       return PKSP_ERR_ARG;
@@ -634,6 +642,10 @@ int KSPGetResidualHistory(KSP ksp, const double** history, int* count) {
   *history = ksp->residualHistory.data();
   *count = static_cast<int>(ksp->residualHistory.size());
   return PKSP_SUCCESS;
+}
+
+long long pcRefreshesTotal() {
+  return gPcRefreshes.load(std::memory_order_relaxed);
 }
 
 int KSPGetPCSetupCounts(KSP ksp, int* builds, int* refreshes) {

@@ -123,7 +123,10 @@ enum PkspMatStructure : int {
 
 // ---- operator registration -------------------------------------------
 
-/// Use an assembled distributed matrix (not owned; must outlive solves).
+/// Use an assembled distributed matrix (not owned).  A preconditioner built
+/// from it reads its storage, so it must stay alive until the solver is
+/// destroyed, a new pattern rebuilds the preconditioner, or a same-pattern
+/// refresh moves it to another matrix.
 int KSPSetOperator(KSP ksp, const lisi::sparse::DistCsrMatrix* a);
 
 /// Like KSPSetOperator, with an explicit statement of how `a` relates to
@@ -157,9 +160,11 @@ int KSPSetSorOptions(KSP ksp, double omega, int sweeps);
 /// Treat the incoming solution vector as the initial guess (default: zero).
 int KSPSetInitialGuessNonzero(KSP ksp, bool flag);
 
-/// Keep the current preconditioner when the operator changes (useful when a
-/// new matrix shares the old one's sparsity pattern and is close in value —
-/// §5.2 use case (d) of the LISI paper).  Default: rebuild on change.
+/// Keep the current preconditioner when the operator's values change over
+/// the same sparsity pattern (useful when the new matrix is close in value —
+/// §5.2 use case (d) of the LISI paper).  A new pattern always rebuilds.
+/// ILU(0) keeps its factors; SOR reads the operator's values in place, so
+/// it follows them either way.  Default: refresh or rebuild on change.
 int KSPSetReusePreconditioner(KSP ksp, bool flag);
 
 /// Select pipelined (communication-hiding) Krylov loops for CG/BiCGSTAB
@@ -228,5 +233,10 @@ int KSPGetDescription(KSP ksp, std::string* description);
 /// constructions, `refreshes` = in-place value refreshes taken on the
 /// SAME_NONZERO_PATTERN path.  Either pointer may be null.
 int KSPGetPCSetupCounts(KSP ksp, int* builds, int* refreshes);
+
+/// In-place preconditioner value refreshes over all handles since process
+/// start (MiniMPI ranks are threads, so this spans every rank).  Tests
+/// assert a zero delta where a port must keep its preconditioner as is.
+[[nodiscard]] long long pcRefreshesTotal();
 
 }  // namespace pksp

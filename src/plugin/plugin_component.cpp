@@ -160,7 +160,8 @@ class PluginSolverPort final : public base::SolverComponentBase {
         !operatorPushed_) {
       static_assert(sizeof(int) == sizeof(int32_t),
                     "lisi_abi_v1 assumes 32-bit int indices");
-      const sparse::CsrMatrix& a = ctx.matrix->localBlock();
+      // The ABI takes global column indices: hand over a global copy.
+      const sparse::CsrMatrix a = ctx.matrix->globalBlock();
       const int32_t rc = t->set_operator(
           inst_, static_cast<int32_t>(ctx.localRows),
           static_cast<int32_t>(ctx.globalRows),

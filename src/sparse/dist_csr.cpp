@@ -37,9 +37,14 @@ long long valueUpdates() {
 }
 
 void DistCsrMatrix::updateValues(const CsrMatrix& local) {
-  LISI_CHECK(local.rows == local_.rows && local.cols == local_.cols,
+  LISI_CHECK(local.rows == local_.rows && local.cols == globalCols_,
              "updateValues: dimensions differ from the built operator");
-  LISI_CHECK(local.rowPtr == local_.rowPtr && local.colIdx == local_.colIdx,
+  bool same = local.rowPtr == local_.rowPtr &&
+              local.colIdx.size() == local_.colIdx.size();
+  for (std::size_t k = 0; same && k < local_.colIdx.size(); ++k) {
+    same = globalCol(local_.colIdx[k]) == local.colIdx[k];
+  }
+  LISI_CHECK(same,
              "updateValues: sparsity structure differs from the built "
              "operator (callers must pass the canonical same-pattern block)");
   // The plan holds no values of its own, so this is the only copy.
@@ -47,6 +52,40 @@ void DistCsrMatrix::updateValues(const CsrMatrix& local) {
   floatMirrorFresh_ = false;  // spmvFloat re-mirrors on next use
   gValueUpdates.fetch_add(1, std::memory_order_relaxed);
   obs::count("sparse.value_updates");
+}
+
+bool DistCsrMatrix::sameStructure(const DistCsrMatrix& o) const {
+  return globalRows_ == o.globalRows_ && globalCols_ == o.globalCols_ &&
+         rowStarts_ == o.rowStarts_ && colStarts_ == o.colStarts_ &&
+         ghostCols_ == o.ghostCols_ && local_.rowPtr == o.local_.rowPtr &&
+         local_.colIdx == o.local_.colIdx;
+}
+
+int OwnedBlockView::ownedNnz() const {
+  int n = 0;
+  for (int i = 0; i < rows; ++i) {
+    const Range own = ownedRange(i);
+    n += own.end - own.begin;
+  }
+  return n;
+}
+
+std::vector<int> OwnedBlockView::diagonalPositions() const {
+  std::vector<int> pos(static_cast<std::size_t>(rows), -1);
+  for (int i = 0; i < rows; ++i) {
+    const Range own = ownedRange(i);
+    for (int k = own.begin; k < own.end; ++k) {
+      if (colIdx[k] == i) pos[static_cast<std::size_t>(i)] = k;
+    }
+  }
+  return pos;
+}
+
+bool OwnedBlockView::samePattern(const OwnedBlockView& o) const {
+  if (rows != o.rows || ownedCols != o.ownedCols) return false;
+  if (rowPtr == o.rowPtr && colIdx == o.colIdx) return true;
+  return std::equal(rowPtr, rowPtr + rows + 1, o.rowPtr) &&
+         std::equal(colIdx, colIdx + nnz(), o.colIdx);
 }
 
 DistCsrMatrix::DistCsrMatrix(comm::Comm comm, int globalRows, int globalCols,
@@ -99,6 +138,9 @@ DistCsrMatrix::DistCsrMatrix(comm::Comm comm, int globalRows, int globalCols,
                  "DistCsrMatrix: colStarts not monotone");
     }
   }
+  // Without an input-vector partition the block keeps its global columns
+  // (every column counts as owned, so globalCol is the identity).
+  ownedCols_ = globalCols_;
   if (!colStarts_.empty()) buildHaloPlan();
 }
 
@@ -110,32 +152,22 @@ int DistCsrMatrix::localCols() const {
          colStarts_[static_cast<std::size_t>(comm_.rank())];
 }
 
-CsrMatrix DistCsrMatrix::ownedBlock() const {
-  const int n = localCols();
-  const int start = colStarts_[static_cast<std::size_t>(comm_.rank())];
-  const auto owned = [start, n](int c) { return c >= start && c < start + n; };
-  CsrMatrix blk;
-  blk.rows = local_.rows;
-  blk.cols = n;
-  blk.rowPtr.assign(static_cast<std::size_t>(blk.rows) + 1, 0);
-  for (int i = 0; i < local_.rows; ++i) {
-    const auto first =
-        local_.colIdx.begin() + local_.rowPtr[static_cast<std::size_t>(i)];
-    const auto last =
-        local_.colIdx.begin() + local_.rowPtr[static_cast<std::size_t>(i) + 1];
-    blk.rowPtr[static_cast<std::size_t>(i) + 1] =
-        blk.rowPtr[static_cast<std::size_t>(i)] +
-        static_cast<int>(std::count_if(first, last, owned));
+OwnedBlockView DistCsrMatrix::ownedBlockView() const {
+  return {local_.rows, ownedCols_, local_.rowPtr.data(), local_.colIdx.data(),
+          local_.values.data()};
+}
+
+CsrMatrix DistCsrMatrix::globalBlock() const {
+  CsrMatrix g;
+  g.rows = local_.rows;
+  g.cols = globalCols_;
+  g.rowPtr = local_.rowPtr;
+  g.colIdx.resize(local_.colIdx.size());
+  for (std::size_t k = 0; k < g.colIdx.size(); ++k) {
+    g.colIdx[k] = globalCol(local_.colIdx[k]);
   }
-  blk.colIdx.resize(static_cast<std::size_t>(blk.rowPtr.back()));
-  blk.values.resize(blk.colIdx.size());
-  std::size_t pos = 0;
-  for (std::size_t k = 0; k < local_.colIdx.size(); ++k) {
-    if (!owned(local_.colIdx[k])) continue;
-    blk.colIdx[pos] = local_.colIdx[k] - start;
-    blk.values[pos++] = local_.values[k];
-  }
-  return blk;
+  g.values = local_.values;
+  return g;
 }
 
 int DistCsrMatrix::numInteriorRows() const {
@@ -236,19 +268,19 @@ void DistCsrMatrix::buildHaloPlan() {
   ghostCols_.erase(std::unique(ghostCols_.begin(), ghostCols_.end()),
                    ghostCols_.end());
 
-  // Remap the local block's columns: owned -> [0, nlocal), ghost ->
-  // nlocal + position in ghostCols_.  Values stay in local_.
-  mappedCols_.resize(local_.colIdx.size());
-  for (std::size_t k = 0; k < mappedCols_.size(); ++k) {
-    const int c = local_.colIdx[k];
+  // Renumber the block's columns in place: owned -> [0, nlocal), ghost ->
+  // nlocal + position in ghostCols_.  Stored order does not change.
+  for (int& c : local_.colIdx) {
     if (c >= myStart && c < myEnd) {
-      mappedCols_[k] = c - myStart;
+      c -= myStart;
     } else {
       const auto it = std::lower_bound(ghostCols_.begin(), ghostCols_.end(), c);
-      mappedCols_[k] = nlocal + static_cast<int>(it - ghostCols_.begin());
+      c = nlocal + static_cast<int>(it - ghostCols_.begin());
     }
   }
-  extCols_ = nlocal + static_cast<int>(ghostCols_.size());
+  colBase_ = myStart;
+  ownedCols_ = nlocal;
+  local_.cols = nlocal + static_cast<int>(ghostCols_.size());
 
   // Group ghost columns by owner (ghostCols_ is sorted, so owners ascend).
   std::vector<std::vector<int>> needFrom(static_cast<std::size_t>(p));
@@ -315,8 +347,7 @@ void DistCsrMatrix::buildHaloPlan() {
 
   // One-time interior/boundary split into runs of consecutive rows:
   // interior rows read only owned x entries, so they can run while ghost
-  // values are still in flight.  The owned columns boundary rows read are
-  // the only owned entries the contiguous x needs.
+  // values are still in flight.
   const auto extend = [](std::vector<Run>& runs, int i) {
     if (!runs.empty() && runs.back().end == i) {
       runs.back().end = i + 1;
@@ -326,25 +357,14 @@ void DistCsrMatrix::buildHaloPlan() {
   };
   interiorRows_.clear();
   boundaryRows_.clear();
-  boundaryCols_.clear();
-  std::vector<char> readByBoundary(static_cast<std::size_t>(nlocal), 0);
   for (int i = 0; i < local_.rows; ++i) {
     const auto first =
-        mappedCols_.begin() + local_.rowPtr[static_cast<std::size_t>(i)];
+        local_.colIdx.begin() + local_.rowPtr[static_cast<std::size_t>(i)];
     const auto last =
-        mappedCols_.begin() + local_.rowPtr[static_cast<std::size_t>(i) + 1];
+        local_.colIdx.begin() + local_.rowPtr[static_cast<std::size_t>(i) + 1];
     const bool interior =
         std::all_of(first, last, [nlocal](int c) { return c < nlocal; });
     extend(interior ? interiorRows_ : boundaryRows_, i);
-    if (interior) continue;
-    for (auto it = first; it != last; ++it) {
-      if (*it < nlocal) readByBoundary[static_cast<std::size_t>(*it)] = 1;
-    }
-  }
-  for (int c = 0; c < nlocal; ++c) {
-    if (readByBoundary[static_cast<std::size_t>(c)] != 0) {
-      extend(boundaryCols_, c);
-    }
   }
 
   // Persistent per-spmv scratch + reserved tag block: sized here so spmv()
@@ -360,10 +380,7 @@ void DistCsrMatrix::reserveScratch(Scratch<T>& s, int nVec) const {
   if (s.send.size() < sendIdx_.size() * nv) {
     s.send.resize(sendIdx_.size() * nv);
   }
-  if (s.xExt.size() < static_cast<std::size_t>(extCols_) * nv) {
-    s.xExt.resize(static_cast<std::size_t>(extCols_) * nv);
-  }
-  if (nv > 1 && s.recv.size() < ghostCols_.size() * nv) {
+  if (s.recv.size() < ghostCols_.size() * nv) {
     s.recv.resize(ghostCols_.size() * nv);
   }
 }
@@ -419,6 +436,35 @@ template <int G, class Run, class T>
   }
 }
 
+/// The boundary rows' sweep for G vectors: an owned column (c < nOwned)
+/// reads vector g's x, a ghost reads slot c - nOwned of the index-major
+/// receive buffer, `stride` values per ghost with vector g at offset g.
+/// Same accumulators and order as sweepRows, so each vector is bitwise it.
+template <int G, class Run, class T>
+[[gnu::noinline]] void sweepBoundaryLanes(const std::vector<Run>& runs,
+                                          const int* rowPtr, const int* colIdx,
+                                          const T* values, int nOwned,
+                                          const T* const* x, const T* ghost,
+                                          std::size_t stride, T* const* y) {
+  for (const Run& run : runs) {
+    for (int i = run.begin; i < run.end; ++i) {
+      T acc[G];
+      for (int g = 0; g < G; ++g) acc[g] = T(0);
+      for (int k = rowPtr[i]; k < rowPtr[i + 1]; ++k) {
+        const T v = values[k];
+        const int c = colIdx[k];
+        if (c < nOwned) {
+          for (int g = 0; g < G; ++g) acc[g] += v * x[g][c];
+        } else {
+          const T* gh = ghost + static_cast<std::size_t>(c - nOwned) * stride;
+          for (int g = 0; g < G; ++g) acc[g] += v * gh[g];
+        }
+      }
+      for (int g = 0; g < G; ++g) y[g][i] = acc[g];
+    }
+  }
+}
+
 }  // namespace
 
 template <class T>
@@ -428,7 +474,6 @@ void DistCsrMatrix::spmvRuns(std::span<const T> x, std::span<T> y, int nVec,
   const auto nv = static_cast<std::size_t>(nVec);
   const auto nloc = static_cast<std::size_t>(localCols());
   const auto mloc = static_cast<std::size_t>(local_.rows);
-  const auto next = static_cast<std::size_t>(extCols_);
   // Precision accounting: value bytes this product moves — stored matrix
   // values plus the packed/received halo payload.
   const long long bytes =
@@ -464,66 +509,71 @@ void DistCsrMatrix::spmvRuns(std::span<const T> x, std::span<T> y, int nVec,
                  sendToRanks_[r], tag);
     }
   }
-  for (std::size_t v = 0; v < nv; ++v) {
-    for (const Run& run : boundaryCols_) {
-      const auto c = static_cast<std::size_t>(run.begin);
-      std::copy_n(x.data() + v * nloc + c, run.end - run.begin,
-                  s.xExt.data() + v * next + c);
+  // Batches sweep up to four vectors per pass: `group` points xs/ys at
+  // vectors [v, v + g) and returns g.  One vector keeps sweepRows for the
+  // interior, since sweepRowsLanes<1> measured ~15% slower on the 300^2
+  // paper operator at p=1; the boundary rows are few.
+  constexpr std::size_t kGroup = 4;
+  const T* xs[kGroup];
+  T* ys[kGroup];
+  const auto group = [&](std::size_t v) {
+    const std::size_t g = std::min(kGroup, nv - v);
+    for (std::size_t q = 0; q < g; ++q) {
+      xs[q] = x.data() + (v + q) * nloc;
+      ys[q] = y.data() + (v + q) * mloc;
     }
-  }
-  // Vector v reads x from xv + v * stride.  Batches sweep up to four
-  // vectors per pass; one vector keeps sweepRows, since sweepRowsLanes<1>
-  // measured ~15% slower on the 300^2 paper operator at p=1.
+    return g;
+  };
   const int* rowPtr = local_.rowPtr.data();
-  const int* colIdx = mappedCols_.data();
+  const int* colIdx = local_.colIdx.data();
   const T* vals = values.data();
-  const auto sweep = [&](const std::vector<Run>& rows, const T* xv,
-                         std::size_t stride) {
+  {
+    obs::Span phase("sparse.spmv.interior");
+    const auto& rows = interiorRows_;
     if (nv == 1) {
-      sweepRows(rows, rowPtr, colIdx, vals, xv, y.data());
-      return;
+      sweepRows(rows, rowPtr, colIdx, vals, x.data(), y.data());
     }
-    constexpr std::size_t kGroup = 4;
-    for (std::size_t v = 0; v < nv; v += kGroup) {
-      const T* xs[kGroup];
-      T* ys[kGroup];
-      const std::size_t g = std::min(kGroup, nv - v);
-      for (std::size_t q = 0; q < g; ++q) {
-        xs[q] = xv + (v + q) * stride;
-        ys[q] = y.data() + (v + q) * mloc;
-      }
-      switch (g) {
+    for (std::size_t v = 0; nv > 1 && v < nv; v += kGroup) {
+      switch (group(v)) {
         case 1: sweepRowsLanes<1>(rows, rowPtr, colIdx, vals, xs, ys); break;
         case 2: sweepRowsLanes<2>(rows, rowPtr, colIdx, vals, xs, ys); break;
         case 3: sweepRowsLanes<3>(rows, rowPtr, colIdx, vals, xs, ys); break;
         default: sweepRowsLanes<4>(rows, rowPtr, colIdx, vals, xs, ys); break;
       }
     }
-  };
-  {
-    obs::Span phase("sparse.spmv.interior");
-    sweep(interiorRows_, x.data(), nloc);
   }
   {
-    // One vector's ghosts land straight in the xExt tail; a batch arrives
-    // index-major and is spread to each vector's tail.
+    // The ghosts arrive index-major, nVec values per ghost, straight into
+    // the receive buffer the boundary sweep reads.
     obs::Span phase("sparse.spmv.halo_recv");
-    T* landing = nv == 1 ? s.xExt.data() + nloc : s.recv.data();
     for (std::size_t r = 0; r < recvFromRanks_.size(); ++r) {
       const auto off = static_cast<std::size_t>(recvOffsets_[r]) * nv;
       const auto len = static_cast<std::size_t>(recvCounts_[r]) * nv;
-      comm_.recv(std::span<T>(landing + off, len), recvFromRanks_[r], tag);
-    }
-    if (nv > 1) {
-      for (std::size_t g = 0; g < ghostCols_.size(); ++g) {
-        for (std::size_t v = 0; v < nv; ++v) {
-          s.xExt[v * next + nloc + g] = s.recv[g * nv + v];
-        }
-      }
+      comm_.recv(std::span<T>(s.recv.data() + off, len), recvFromRanks_[r],
+                 tag);
     }
   }
   obs::Span phase("sparse.spmv.boundary");
-  sweep(boundaryRows_, s.xExt.data(), next);
+  const auto& rows = boundaryRows_;
+  const int n = ownedCols_;
+  for (std::size_t v = 0; v < nv; v += kGroup) {
+    const std::size_t g = group(v);
+    const T* gh = s.recv.data() + v;
+    switch (g) {
+      case 1:
+        sweepBoundaryLanes<1>(rows, rowPtr, colIdx, vals, n, xs, gh, nv, ys);
+        break;
+      case 2:
+        sweepBoundaryLanes<2>(rows, rowPtr, colIdx, vals, n, xs, gh, nv, ys);
+        break;
+      case 3:
+        sweepBoundaryLanes<3>(rows, rowPtr, colIdx, vals, n, xs, gh, nv, ys);
+        break;
+      default:
+        sweepBoundaryLanes<4>(rows, rowPtr, colIdx, vals, n, xs, gh, nv, ys);
+        break;
+    }
+  }
 }
 
 void DistCsrMatrix::spmv(std::span<const double> xLocal,
@@ -591,8 +641,12 @@ CsrMatrix DistCsrMatrix::gatherToRoot(int root) const {
         local_.rowPtr[static_cast<std::size_t>(i)];
   }
   std::vector<int> allLens = comm_.gatherv(std::span<const int>(lens), root);
-  std::vector<int> allCols =
-      comm_.gatherv(std::span<const int>(local_.colIdx), root);
+  std::vector<int> cols(local_.colIdx.size());
+  for (std::size_t k = 0; k < cols.size(); ++k) {
+    cols[k] = globalCol(local_.colIdx[k]);
+  }
+  std::vector<int> allCols = comm_.gatherv(std::span<const int>(cols), root);
+  cols = {};
   std::vector<double> allVals =
       comm_.gatherv(std::span<const double>(local_.values), root);
   CsrMatrix global;
@@ -641,7 +695,8 @@ std::vector<double> DistCsrMatrix::localDiagonal() const {
   for (int i = 0; i < local_.rows; ++i) {
     for (int k = local_.rowPtr[static_cast<std::size_t>(i)];
          k < local_.rowPtr[static_cast<std::size_t>(i) + 1]; ++k) {
-      if (local_.colIdx[static_cast<std::size_t>(k)] == myStart + i) {
+      if (globalCol(local_.colIdx[static_cast<std::size_t>(k)]) ==
+          myStart + i) {
         d[static_cast<std::size_t>(i)] +=
             local_.values[static_cast<std::size_t>(k)];
       }

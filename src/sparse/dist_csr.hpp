@@ -2,21 +2,23 @@
 //
 // Every parallel solver package in this repository stores its operator this
 // way: rank r owns a contiguous range of global rows (§5.4 block row
-// partitioning) as a local CSR block whose column indices are *global*.
-// For y = A*x with x partitioned conformally, the off-process x entries a
-// rank's columns touch (its "ghosts") are fetched from their owners through
-// a communication plan built once at construction.
-//
-// Values and row pointers are stored once, in that block; the plan keeps
-// only remapped column indices, which every sweep pairs with them.
+// partitioning).  Callers hand the block over with *global* column
+// indices; the operator keeps ONE index array, renumbered in place to
+// local columns as PETSc's MPIAIJ does: an owned input-vector column maps
+// to [0, localCols()), a ghost (an off-process column the rows touch) to
+// localCols() + its slot in the sorted ghost list.  Stored order is the
+// caller's canonical (global column) order, so each row's owned entries
+// are one contiguous run and every product is bitwise the serial CSR one.
+// The ghosts' x entries are fetched from their owners through a
+// communication plan built once at construction.
 //
 // Every product runs one path.  The plan splits the local rows once into
 // runs of *interior* rows (touch no ghost column) and *boundary* rows.
 // Interior runs are swept in natural order straight from the caller's x
 // while the ghosts are in flight; at p=1 that is the whole sweep, one run.
-// Boundary runs then read a plan-owned contiguous x: the owned entries they
-// touch in its head, the ghosts received straight into its tail.  The plan
-// owns all per-spmv scratch, so spmv() performs no heap allocation.
+// Boundary runs then take each entry either from x or from a ghost-sized
+// receive buffer.  The plan owns all per-spmv scratch, so spmv() performs
+// no heap allocation.
 #pragma once
 
 #include <array>
@@ -30,14 +32,72 @@
 
 namespace lisi::sparse {
 
+/// Read-only view of one rank's block in local column numbering: the
+/// operator's own arrays, no copy.  Column c < ownedCols is owned input
+/// vector entry c; c >= ownedCols is a ghost.  Row i's owned entries are
+/// the contiguous range ownedRange(i), in ascending column order, so they
+/// are exactly the diagonal block that block-local preconditioners (ILU(0),
+/// SOR, Gauss-Seidel) factor or sweep.  The view reads storage the
+/// DistCsrMatrix owns: it stays valid, and sees in-place value refreshes,
+/// until that operator is destroyed.
+struct OwnedBlockView {
+  struct Range {
+    int begin;
+    int end;
+  };
+
+  int rows = 0;
+  int ownedCols = 0;
+  const int* rowPtr = nullptr;  ///< rows + 1 entries
+  const int* colIdx = nullptr;  ///< local column numbers
+  const double* values = nullptr;
+
+  [[nodiscard]] int nnz() const { return rows == 0 ? 0 : rowPtr[rows]; }
+
+  /// Row i's owned entries: ghosts below the owned columns lead the row and
+  /// ghosts above trail it, so one scan from each end finds the run.
+  [[nodiscard]] Range ownedRange(int i) const {
+    int b = rowPtr[i];
+    int e = rowPtr[i + 1];
+    while (b < e && colIdx[b] >= ownedCols) ++b;
+    while (e > b && colIdx[e - 1] >= ownedCols) --e;
+    return {b, e};
+  }
+
+  /// ownedRange(i) for a row that holds an owned entry (every row with its
+  /// diagonal does): that entry ends each scan, so the hot loops of the
+  /// preconditioners skip the bound checks.
+  [[nodiscard]] int ownedBegin(int i) const {
+    int k = rowPtr[i];
+    while (colIdx[k] >= ownedCols) ++k;
+    return k;
+  }
+  [[nodiscard]] int ownedEnd(int i) const {
+    int k = rowPtr[i + 1];
+    while (colIdx[k - 1] >= ownedCols) --k;
+    return k;
+  }
+
+  /// Entries in the owned block.
+  [[nodiscard]] int ownedNnz() const;
+
+  /// Each row's diagonal entry position, -1 where the row has none.
+  [[nodiscard]] std::vector<int> diagonalPositions() const;
+
+  /// Same rows and the same local columns: a view of one block's pattern
+  /// serves the other's values.
+  [[nodiscard]] bool samePattern(const OwnedBlockView& o) const;
+};
+
 /// Distributed CSR matrix (square operators distribute x like rows; spmv
 /// requires globalRows == globalCols).
 class DistCsrMatrix {
  public:
   /// Wrap this rank's block of rows [startRow, startRow + local.rows).
   /// `local.cols` must equal `globalCols` (column indices are global).
-  /// The block is kept as given (canonicalized in place): pass it by move
-  /// and the operator holds its values without a copy.
+  /// The block is kept as given (canonicalized, then renumbered to local
+  /// columns in place): pass it by move and the operator holds it without
+  /// a copy.
   /// Collective: all ranks of `comm` must construct together.
   ///
   /// For square operators the input vector of spmv() is partitioned like
@@ -57,8 +117,8 @@ class DistCsrMatrix {
   [[nodiscard]] int startRow() const;
   [[nodiscard]] int localRows() const { return local_.rows; }
   [[nodiscard]] long long globalNnz() const;
-  /// This rank's rows with *global* column indices.
-  [[nodiscard]] const CsrMatrix& localBlock() const { return local_; }
+  /// Entries stored on this rank.
+  [[nodiscard]] int localNnz() const { return local_.nnz(); }
   [[nodiscard]] const comm::Comm& comm() const { return comm_; }
   /// Row-ownership boundaries across ranks (size comm.size()+1).
   [[nodiscard]] const std::vector<int>& rowStarts() const { return rowStarts_; }
@@ -67,19 +127,31 @@ class DistCsrMatrix {
   /// Number of input-vector entries owned by this rank.
   [[nodiscard]] int localCols() const;
 
-  /// This rank's diagonal block: the owned rows restricted to the owned
-  /// input-vector columns (colStarts()), with local column indices and the
-  /// entries in stored order.  Counted, then filled, so its arrays are
-  /// exactly sized.  Block-local preconditioners (ILU(0), SOR, Gauss-Seidel
-  /// smoothers) factor or sweep this.
-  [[nodiscard]] CsrMatrix ownedBlock() const;
+  /// This rank's block in local column numbering, with each row's owned
+  /// range: what block-local preconditioners read instead of a copy.
+  [[nodiscard]] OwnedBlockView ownedBlockView() const;
+
+  /// Global column of local column c.
+  [[nodiscard]] int globalCol(int c) const {
+    if (c < ownedCols_) return c + colBase_;
+    return ghostCols_[static_cast<std::size_t>(c - ownedCols_)];
+  }
+
+  /// A copy of this rank's rows with global column indices, in stored
+  /// order: the caller-side form, for cold paths that hand the block on.
+  [[nodiscard]] CsrMatrix globalBlock() const;
+
+  /// Same row and column partition, ghosts, and local pattern as `o`, so
+  /// their value arrays correspond entry by entry.
+  [[nodiscard]] bool sameStructure(const DistCsrMatrix& o) const;
 
   /// Refresh the numerical values in place, keeping the halo-exchange plan,
   /// ghost column map, and all scratch.  `local` must be canonical (sorted
   /// columns, merged duplicates) and carry exactly the sparsity structure of
-  /// localBlock(); anything else throws.  Purely local: no communication and
-  /// no allocation — this is the same-pattern fast path of the operator
-  /// change contract (DESIGN.md "Operator change contract").
+  /// this operator (global column indices, as given to the constructor);
+  /// anything else throws.  Purely local: no communication and no
+  /// allocation — this is the same-pattern fast path of the operator change
+  /// contract (DESIGN.md "Operator change contract").
   void updateValues(const CsrMatrix& local);
 
   /// y = A*x; x is this rank's piece under colStarts(), y under rowStarts().
@@ -145,14 +217,11 @@ class DistCsrMatrix {
     int end;
   };
 
-  /// Per-scalar spmv scratch.  xExt holds one block of extCols_
-  /// entries per vector: owned x (the boundaryCols_ entries), then the
-  /// ghosts by slot.
+  /// Per-scalar spmv scratch, sized by the plan: no copy of x.
   template <class T>
   struct Scratch {
     std::vector<T> send;  ///< packed outgoing x entries, index-major
-    std::vector<T> xExt;
-    std::vector<T> recv;  ///< nVec > 1: ghost payload, index-major
+    std::vector<T> recv;  ///< ghost payload, index-major (nVec per ghost)
   };
 
   void buildHaloPlan();
@@ -160,7 +229,7 @@ class DistCsrMatrix {
   template <class T>
   void reserveScratch(Scratch<T>& s, int nVec) const;
   /// The one product: pack and send, sweep interior runs while ghosts are
-  /// in flight, receive into the xExt tail, sweep boundary runs.
+  /// in flight, receive the ghosts, sweep boundary runs.
   template <class T>
   void spmvRuns(std::span<const T> x, std::span<T> y, int nVec,
                 const std::vector<T>& values, Scratch<T>& s) const;
@@ -168,16 +237,16 @@ class DistCsrMatrix {
   comm::Comm comm_;
   int globalRows_ = 0;
   int globalCols_ = 0;
-  CsrMatrix local_;             ///< global column indices; the only values
+  CsrMatrix local_;             ///< local column numbers; the only copy
   std::vector<int> rowStarts_;  ///< row ownership boundaries, size P+1
   std::vector<int> colStarts_;  ///< input-vector ownership boundaries
+  int colBase_ = 0;             ///< global column of local column 0
+  int ownedCols_ = 0;           ///< local columns [0, ownedCols_) are owned
 
   // Halo plan (built once):
-  std::vector<int> ghostCols_;              ///< sorted global cols we need
-  std::vector<int> mappedCols_;             ///< local_.colIdx remapped:
-                                            ///< owned -> [0,nlocal), ghost ->
-                                            ///< nlocal + slot
-  int extCols_ = 0;                         ///< nlocal + ghosts
+  std::vector<int> ghostCols_;              ///< sorted global cols we need;
+                                            ///< ghost slot s is local column
+                                            ///< ownedCols_ + s
   std::vector<int> recvFromRanks_;          ///< ranks we receive ghosts from
   std::vector<int> recvCounts_;             ///< ghosts per recv rank
   std::vector<int> recvOffsets_;            ///< slot offset per recv rank
@@ -187,7 +256,6 @@ class DistCsrMatrix {
                                             ///< size sendToRanks_.size()+1
   std::vector<Run> interiorRows_;           ///< rows with no ghost column
   std::vector<Run> boundaryRows_;           ///< rows with >= 1 ghost column
-  std::vector<Run> boundaryCols_;           ///< owned cols boundary rows read
   std::vector<int> spmvTags_;               ///< reserved tags, one per round
 
   // Per-spmv scratch; buildHaloPlan() sizes the double scratch for one

@@ -81,17 +81,20 @@ DistCsrMatrix distMatMul(const DistCsrMatrix& a, const DistCsrMatrix& b) {
   LISI_CHECK(a.colStarts() == b.rowStarts(),
              "distMatMul: A's column partition must match B's row partition");
 
-  const CsrMatrix& la = a.localBlock();
-  const CsrMatrix& lb = b.localBlock();
+  // Both blocks are in local column numbering; global columns are derived
+  // on the fly (globalCol).  A's owned columns are B's owned rows, in the
+  // same order, since A's column partition is B's row partition.
+  const OwnedBlockView la = a.ownedBlockView();
+  const OwnedBlockView lb = b.ownedBlockView();
   const std::vector<int>& bRowStarts = b.rowStarts();
   const int bStart = bRowStarts[static_cast<std::size_t>(rank)];
-  const int bEnd = bRowStarts[static_cast<std::size_t>(rank) + 1];
 
-  // Which global rows of B do my rows of A touch, and who owns them?
+  // Which global rows of B do my rows of A touch (A's ghosts), and who
+  // owns them?
   std::vector<int> needed;
-  needed.reserve(la.colIdx.size());
-  for (int cidx : la.colIdx) {
-    if (cidx < bStart || cidx >= bEnd) needed.push_back(cidx);
+  for (int k = 0; k < la.nnz(); ++k) {
+    const int c = la.colIdx[k];
+    if (c >= la.ownedCols) needed.push_back(a.globalCol(c));
   }
   std::sort(needed.begin(), needed.end());
   needed.erase(std::unique(needed.begin(), needed.end()), needed.end());
@@ -133,11 +136,11 @@ DistCsrMatrix distMatMul(const DistCsrMatrix& a, const DistCsrMatrix& b) {
     for (int g : rows) {
       const int i = g - bStart;
       LISI_ASSERT(i >= 0 && i < lb.rows);
-      const int kb = lb.rowPtr[static_cast<std::size_t>(i)];
-      const int ke = lb.rowPtr[static_cast<std::size_t>(i) + 1];
+      const int kb = lb.rowPtr[i];
+      const int ke = lb.rowPtr[i + 1];
       meta.push_back(ke - kb);
-      meta.insert(meta.end(), lb.colIdx.begin() + kb, lb.colIdx.begin() + ke);
-      vals.insert(vals.end(), lb.values.begin() + kb, lb.values.begin() + ke);
+      for (int k = kb; k < ke; ++k) meta.push_back(b.globalCol(lb.colIdx[k]));
+      vals.insert(vals.end(), lb.values + kb, lb.values + ke);
     }
     comm.send(std::span<const int>(meta), q, kRowFetchTag);
     comm.send(std::span<const double>(vals), q, kRowFetchTag);
@@ -186,19 +189,15 @@ DistCsrMatrix distMatMul(const DistCsrMatrix& a, const DistCsrMatrix& b) {
   lc.rowPtr.push_back(0);
   SparseAccumulator spa(b.globalCols());
   for (int i = 0; i < la.rows; ++i) {
-    for (int ka = la.rowPtr[static_cast<std::size_t>(i)];
-         ka < la.rowPtr[static_cast<std::size_t>(i) + 1]; ++ka) {
-      const int g = la.colIdx[static_cast<std::size_t>(ka)];
-      const double av = la.values[static_cast<std::size_t>(ka)];
-      if (g >= bStart && g < bEnd) {
-        const int k = g - bStart;
-        for (int kb = lb.rowPtr[static_cast<std::size_t>(k)];
-             kb < lb.rowPtr[static_cast<std::size_t>(k) + 1]; ++kb) {
-          spa.add(lb.colIdx[static_cast<std::size_t>(kb)],
-                  av * lb.values[static_cast<std::size_t>(kb)]);
+    for (int ka = la.rowPtr[i]; ka < la.rowPtr[i + 1]; ++ka) {
+      const int c = la.colIdx[ka];
+      const double av = la.values[ka];
+      if (c < la.ownedCols) {
+        for (int kb = lb.rowPtr[c]; kb < lb.rowPtr[c + 1]; ++kb) {
+          spa.add(b.globalCol(lb.colIdx[kb]), av * lb.values[kb]);
         }
       } else {
-        const int f = fetchedIndexOf(g);
+        const int f = fetchedIndexOf(a.globalCol(c));
         for (int kb = fetchedPtr[static_cast<std::size_t>(f)];
              kb < fetchedPtr[static_cast<std::size_t>(f) + 1]; ++kb) {
           spa.add(fetchedCols[static_cast<std::size_t>(kb)],

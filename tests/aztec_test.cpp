@@ -13,6 +13,8 @@
 #include "sparse/ops.hpp"
 #include "support/rng.hpp"
 
+#include "block_reference.hpp"
+
 namespace aztec {
 namespace {
 
@@ -168,7 +170,7 @@ TEST(AztecCrs, ViewUsesTheOperatorWithoutCopying) {
       const CrsMatrix copy = makeCrs(map, g);
       auto owner = std::make_shared<lisi::sparse::DistCsrMatrix>(
           c, g.rows, g.cols, map.minMyGlobalIndex(),
-          copy.assembled()->localBlock());
+          copy.assembled()->globalBlock());
       c.barrier();
       const long long plans0 = lisi::sparse::haloPlanBuilds();
       c.barrier();
@@ -177,11 +179,11 @@ TEST(AztecCrs, ViewUsesTheOperatorWithoutCopying) {
       EXPECT_EQ(lisi::sparse::haloPlanBuilds(), plans0);
       c.barrier();
       EXPECT_EQ(view.assembled(), owner.get());
-      EXPECT_THROW(view.replaceValues(owner->localBlock()), lisi::Error);
+      EXPECT_THROW(view.replaceValues(owner->globalBlock()), lisi::Error);
       const Map other(g.rows + 1, c);
       EXPECT_THROW(CrsMatrix(other, owner), lisi::Error);
 
-      CsrMatrix scaled = owner->localBlock();
+      CsrMatrix scaled = owner->globalBlock();
       for (double& v : scaled.values) v *= 1.5;
       owner->updateValues(scaled);
       CrsMatrix scaledCopy(map, scaled);
@@ -594,6 +596,89 @@ TEST(AztecMulti, SingleVectorIterateRejectedOnBlockProblem) {
     AztecOO solver(a, x, b);
     EXPECT_THROW((void)solver.iterate(10, 1e-6), lisi::Error);
   });
+}
+
+// ---- block-local preconditioners read the operator through its view -----
+
+/// Reference symmetric Gauss-Seidel on an extracted block:
+/// z = (D + U)^{-1} D (D + L)^{-1} r, in AZ_sym_GS's order.
+std::vector<double> referenceSgs(const CsrMatrix& b,
+                                 std::span<const double> r) {
+  const auto n = static_cast<std::size_t>(b.rows);
+  const auto at = [&b](int k) { return b.values[static_cast<std::size_t>(k)]; };
+  const auto col = [&b](int k) {
+    return static_cast<std::size_t>(b.colIdx[static_cast<std::size_t>(k)]);
+  };
+  std::vector<double> d(n), z(n);
+  for (std::size_t i = 0; i < n; ++i) {
+    for (int k = b.rowPtr[i]; k < b.rowPtr[i + 1]; ++k) {
+      if (col(k) == i) d[i] = at(k);
+    }
+  }
+  for (std::size_t i = 0; i < n; ++i) {
+    double acc = r[i];
+    for (int k = b.rowPtr[i]; k < b.rowPtr[i + 1] && col(k) < i; ++k) {
+      acc -= at(k) * z[col(k)];
+    }
+    z[i] = acc / d[i];
+  }
+  for (std::size_t i = 0; i < n; ++i) z[i] *= d[i];
+  for (std::size_t i = n; i-- > 0;) {
+    double acc = z[i];
+    for (int k = b.rowPtr[i]; k < b.rowPtr[i + 1]; ++k) {
+      if (col(k) > i) acc -= at(k) * z[col(k)];
+    }
+    z[i] = acc / d[i];
+  }
+  return z;
+}
+
+TEST(AztecPcView, DomDecompAndSymGsMatchReferenceOnExtractedBlock) {
+  // AZ_dom_decomp (ILU(0)) and AZ_sym_GS read the viewed operator through
+  // its owned-block view; each application must be bitwise the algorithm
+  // on an extracted copy of the diagonal block, also after the owner
+  // refreshes the values in place.
+  const CsrMatrix g0 = lisi::testref::perturbedPaperOperator(12, 51);
+  CsrMatrix g1 = g0;
+  Rng rng(52);
+  for (double& v : g1.values) v *= rng.uniform(0.8, 1.2);
+  std::vector<double> rg(static_cast<std::size_t>(g0.rows));
+  for (double& v : rg) v = rng.uniform(-1.0, 1.0);
+  for (const int p : {1, 2, 4}) {
+    World::run(p, [&](Comm& c) {
+      const Map map(g0.rows, c);
+      const int s = map.minMyGlobalIndex();
+      const int m = map.numMyElements();
+      auto owner = std::make_shared<lisi::sparse::DistCsrMatrix>(
+          c, g0.rows, g0.cols, s, lisi::testref::rowsOf(g0, s, m));
+      const CrsMatrix view(map, owner);
+      Vector x(map), z(map);
+      const Vector r(map, sliceFor(map, rg));
+      AztecOO solver(view, x, r);
+      const auto check = [&](const CsrMatrix& g, const char* stage) {
+        const CsrMatrix blk = lisi::testref::diagonalBlock(g, s, m);
+        const std::span<const double> rl(rg.data() + s,
+                                         static_cast<std::size_t>(m));
+        solver.setOption(AZ_precond, AZ_dom_decomp);
+        solver.precondition(r, z);
+        const std::vector<double> ilu = lisi::testref::referenceIlu0(blk, rl);
+        const std::vector<double> sgs = referenceSgs(blk, rl);
+        for (int i = 0; i < m; ++i) {
+          EXPECT_EQ(z[i], ilu[static_cast<std::size_t>(i)])
+              << stage << " ilu p=" << p << " row " << i;
+        }
+        solver.setOption(AZ_precond, AZ_sym_GS);
+        solver.precondition(r, z);
+        for (int i = 0; i < m; ++i) {
+          EXPECT_EQ(z[i], sgs[static_cast<std::size_t>(i)])
+              << stage << " sgs p=" << p << " row " << i;
+        }
+      };
+      check(g0, "built");
+      owner->updateValues(lisi::testref::rowsOf(g1, s, m));
+      check(g1, "refreshed");
+    });
+  }
 }
 
 }  // namespace

@@ -124,8 +124,9 @@ TEST_P(LisiReuseCounters, SamePatternResetupIsValueOnly) {
   const auto [backendIndex, ranks] = GetParam();
   const int gridN = 15;  // odd so hymg can coarsen
   // HyMG validates the supplied matrix against its rediscretized fine level,
-  // so its "new values" are the same values; the other backends get a
-  // genuinely scaled operator.
+  // so its "new values" are the same values, which makes its re-setup
+  // kSameOperator (no value update); the other backends get a genuinely
+  // scaled operator.
   const double rescale = backendIndex == 3 ? 1.0 : 1.25;
   World::run(ranks, [&, backendIndex](Comm& c) {
     mesh::Pde5ptSpec spec;
@@ -154,7 +155,12 @@ TEST_P(LisiReuseCounters, SamePatternResetupIsValueOnly) {
 
     EXPECT_EQ(planDelta, 0) << backendLabel(backendIndex)
                             << ": same-pattern re-setup rebuilt a halo plan";
-    EXPECT_GE(updateDelta, 1) << backendLabel(backendIndex);
+    if (rescale == 1.0) {
+      EXPECT_EQ(updateDelta, 0) << backendLabel(backendIndex)
+                                << ": identical values refreshed the operator";
+    } else {
+      EXPECT_GE(updateDelta, 1) << backendLabel(backendIndex);
+    }
     if (backendIndex == 2) {
       EXPECT_EQ(symDelta, 0) << "slu re-ran the symbolic analysis";
       EXPECT_GE(refacDelta, 1) << "slu did not take the refactorize path";
@@ -168,6 +174,46 @@ TEST_P(LisiReuseCounters, SamePatternResetupIsValueOnly) {
       EXPECT_NEAR(x1[i], xf[i], 1e-12)
           << backendLabel(backendIndex) << " entry " << i;
     }
+    comm::releaseHandle(h);
+  });
+}
+
+TEST_P(LisiReuseCounters, IdenticalResetupIsSameOperator) {
+  // DESIGN.md's change contract: bitwise-identical values are
+  // kSameOperator.  Re-feeding the operator it already holds must neither
+  // refresh the operator nor touch the preconditioner or the factors, and
+  // the solve must reproduce the previous x bit for bit.
+  const auto [backendIndex, ranks] = GetParam();
+  const int gridN = 15;
+  const double scale = backendIndex == 3 ? 1.0 : 1.25;
+  World::run(ranks, [&, backendIndex](Comm& c) {
+    mesh::Pde5ptSpec spec;
+    spec.gridN = gridN;
+    const auto sys = mesh::assembleLocal(spec, c.rank(), c.size());
+    cca::Framework fw;
+    const long h = comm::registerHandle(c);
+    auto s = wireSolver(fw, h, backendIndex, sys, gridN);
+    const std::vector<double> x0 = feedAndSolve(*s, sys, scale);
+
+    c.barrier();
+    const long long plans0 = sparse::haloPlanBuilds();
+    const long long updates0 = sparse::valueUpdates();
+    const long long refresh0 = pksp::pcRefreshesTotal();
+    const long long sym0 = slu::symbolicFactorizations();
+    const long long refac0 = slu::numericRefactorizations();
+    c.barrier();
+
+    const std::vector<double> x1 = feedAndSolve(*s, sys, scale);
+
+    c.barrier();
+    EXPECT_EQ(sparse::haloPlanBuilds() - plans0, 0);
+    EXPECT_EQ(sparse::valueUpdates() - updates0, 0)
+        << backendLabel(backendIndex) << ": identical values were refreshed";
+    EXPECT_EQ(pksp::pcRefreshesTotal() - refresh0, 0);
+    EXPECT_EQ(slu::symbolicFactorizations() - sym0, 0);
+    EXPECT_EQ(slu::numericRefactorizations() - refac0, 0);
+    c.barrier();
+    EXPECT_EQ(x1, x0) << backendLabel(backendIndex);
     comm::releaseHandle(h);
   });
 }

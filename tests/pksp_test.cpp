@@ -4,8 +4,11 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <atomic>
 #include <cmath>
+#include <cstdint>
 #include <mutex>
+#include <thread>
 
 #include "comm/comm.hpp"
 #include "mesh/pde5pt.hpp"
@@ -19,6 +22,7 @@
 // Counts heap allocations, so the allocation-free Arnoldi step can be
 // asserted directly.
 #include "alloc_count.hpp"
+#include "block_reference.hpp"
 
 namespace pksp {
 namespace {
@@ -28,6 +32,7 @@ using lisi::comm::Comm;
 using lisi::comm::World;
 using lisi::sparse::CsrMatrix;
 using lisi::sparse::DistCsrMatrix;
+using namespace lisi::testref;
 
 /// Run a serial (1-rank) solve of `global` with the given config; returns
 /// the relative true-residual and solution.
@@ -1052,6 +1057,119 @@ TEST(PkspMulti, FallbackForUnsupportedTypeStillSolves) {
     KSPGetConvergedReason(ksp, &reason);
     EXPECT_GT(reason, 0);
     KSPDestroy(&ksp);
+  });
+}
+
+// ---- block-local preconditioners read the operator through its view -----
+
+/// Reference SOR sweeps from z = 0 on an extracted block.
+std::vector<double> referenceSor(const CsrMatrix& b, double omega, int sweeps,
+                                 std::span<const double> r) {
+  const auto n = static_cast<std::size_t>(b.rows);
+  std::vector<double> z(n, 0.0);
+  for (int s = 0; s < sweeps; ++s) {
+    for (std::size_t i = 0; i < n; ++i) {
+      double sigma = 0.0;
+      double d = 0.0;
+      for (int k = b.rowPtr[i]; k < b.rowPtr[i + 1]; ++k) {
+        const auto kk = static_cast<std::size_t>(k);
+        const auto j = static_cast<std::size_t>(b.colIdx[kk]);
+        const double a = b.values[kk];
+        if (j == i) {
+          d = a;
+        } else {
+          sigma += a * z[j];
+        }
+      }
+      z[i] = (1.0 - omega) * z[i] + omega * ((r[i] - sigma) / d);
+    }
+  }
+  return z;
+}
+
+TEST(PkspPcView, IluAndSorMatchReferenceOnExtractedBlockAcrossRefresh) {
+  // ILU(0) and SOR read the operator's pattern (and SOR its values) through
+  // the owned-block view; both must stay bitwise the algorithm run on an
+  // extracted copy of the diagonal block, before and after an in-place
+  // same-pattern refresh, at every rank count.
+  const CsrMatrix g0 = perturbedPaperOperator(12, 41);
+  CsrMatrix g1 = g0;
+  Rng rng(42);
+  for (double& v : g1.values) v *= rng.uniform(0.8, 1.2);
+  std::vector<double> rg(static_cast<std::size_t>(g0.rows));
+  for (double& v : rg) v = rng.uniform(-1.0, 1.0);
+  for (const int p : {1, 2, 4}) {
+    World::run(p, [&](Comm& c) {
+      DistCsrMatrix a = DistCsrMatrix::scatterFromRoot(c, g0);
+      const int s = a.startRow();
+      const int m = a.localRows();
+      const std::span<const double> r(rg.data() + s,
+                                      static_cast<std::size_t>(m));
+      const auto ilu = detail::makeLocalIlu0(a);
+      const auto sor = detail::makeLocalSor(a, 1.3, 2);
+      const auto check = [&](const CsrMatrix& g, const char* stage) {
+        const CsrMatrix blk = diagonalBlock(g, s, m);
+        std::vector<double> z(static_cast<std::size_t>(m));
+        ilu->apply(r, z);
+        EXPECT_EQ(z, referenceIlu0(blk, r)) << stage << " ilu p=" << p;
+        sor->apply(r, z);
+        EXPECT_EQ(z, referenceSor(blk, 1.3, 2, r)) << stage << " sor p=" << p;
+        // Interleaved lanes take each lane's own chain.
+        std::vector<double> rl, zl(3 * static_cast<std::size_t>(m));
+        for (int l = 0; l < 3; ++l) rl.insert(rl.end(), r.begin(), r.end());
+        const std::size_t lanes[] = {0, 1, 2};
+        ilu->applyLanes(rl, zl, lanes, static_cast<std::size_t>(m));
+        ilu->apply(r, z);
+        for (std::size_t l = 0; l < 3; ++l) {
+          EXPECT_TRUE(std::equal(z.begin(), z.end(),
+                                 zl.begin() + static_cast<long>(l) * m))
+              << stage << " lane " << l;
+        }
+      };
+      check(g0, "built");
+      a.updateValues(rowsOf(g1, s, m));
+      ASSERT_TRUE(ilu->refresh(a));
+      ASSERT_TRUE(sor->refresh(a));
+      check(g1, "refreshed");
+    });
+  }
+}
+
+TEST(PkspPcView, WarmSameStructureRefreshAllocatesNothing) {
+  // A same-pattern refresh copies values (ILU(0)) or nothing (SOR) into
+  // storage sized at build: no allocation, also with the float32 mirrors.
+  const CsrMatrix g0 = perturbedPaperOperator(16, 43);
+  CsrMatrix g1 = g0;
+  for (double& v : g1.values) v *= 1.1;
+  std::atomic<bool> measured{false};
+  World::run(2, [&](Comm& c) {
+    DistCsrMatrix a = DistCsrMatrix::scatterFromRoot(c, g0);
+    const DistCsrMatrix a1 = DistCsrMatrix::scatterFromRoot(c, g1);
+    std::vector<std::unique_ptr<detail::Preconditioner>> pcs;
+    pcs.push_back(detail::makeLocalIlu0(a));
+    pcs.push_back(detail::makeLocalSor(a, 1.2, 1));
+    pcs.push_back(detail::makeLocalIlu0(a));
+    pcs.push_back(detail::makeLocalSor(a, 1.2, 1));
+    pcs[2]->setLowPrecision(true);
+    pcs[3]->setLowPrecision(true);
+    for (auto& pc : pcs) ASSERT_TRUE(pc->refresh(a));  // warm
+    const CsrMatrix next = rowsOf(g1, a.startRow(), a.localRows());
+    // Rank 0 (whose block has ghost entries) refreshes under the counter
+    // while rank 1 waits without communicating: the transport allocates.
+    c.barrier();
+    if (c.rank() == 0) {
+      g_allocCalls.store(0);
+      g_countAllocs.store(true);
+      a.updateValues(next);
+      for (auto& pc : pcs) EXPECT_TRUE(pc->refresh(a));
+      for (auto& pc : pcs) EXPECT_TRUE(pc->refresh(a1));  // another operator
+      g_countAllocs.store(false);
+      EXPECT_EQ(g_allocCalls.load(), 0u);
+      measured.store(true);
+    } else {
+      while (!measured.load()) std::this_thread::yield();
+    }
+    c.barrier();
   });
 }
 

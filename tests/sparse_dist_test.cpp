@@ -244,11 +244,12 @@ TEST_P(DistP, ProductsAfterUpdateValuesMatchSerialOnNewValues) {
 }
 
 TEST(Dist, MovedCanonicalBlockIsHeldOnce) {
-  // Built from a moved canonical block, the operator keeps those arrays and
-  // adds only index-sized plan state: no second values array (8 bytes per
-  // nonzero).  Counted over all ranks together; the grid is large enough
-  // that per-rank plan and transport overhead stays well below 1 byte per
-  // nonzero (measured: 5.8 bytes/nnz at p=1, 6.5 at p=4).
+  // Built from a moved canonical block, the operator keeps those arrays,
+  // renumbers the column indices in place, and adds only row- and
+  // ghost-sized plan state: no second values array (8 bytes per nonzero)
+  // and no second index array (4).  Counted over all ranks together; the
+  // grid is large enough that per-rank plan and transport overhead stays
+  // well below 1 byte per nonzero.
   mesh::Pde5ptSpec spec;
   spec.gridN = 100;
   for (const int p : {1, 4}) {
@@ -269,12 +270,12 @@ TEST(Dist, MovedCanonicalBlockIsHeldOnce) {
       if (c.rank() == 0) g_countAllocs.store(false);
       EXPECT_EQ(dist.globalNnz(), nnz.load());
     });
-    EXPECT_LT(g_allocBytes.load(), static_cast<std::size_t>(8 * nnz.load()))
+    EXPECT_LT(g_allocBytes.load(), static_cast<std::size_t>(4 * nnz.load()))
         << "p=" << p;
   }
 }
 
-/// Serial oracle for ownedBlock: rows [rowBegin, rowBegin + rows) of `g`
+/// Serial oracle for the owned block: rows [rowBegin, rowBegin + rows) of `g`
 /// restricted to columns [colBegin, colEnd), local indices, stored order.
 CsrMatrix ownedBlockOracle(const CsrMatrix& g, int rowBegin, int rows,
                            int colBegin, int colEnd) {
@@ -327,9 +328,12 @@ CsrMatrix bilinearProlongation(int nc) {
   return canonical(cooToCsr(coo));
 }
 
-/// ownedBlock() on every rank equals the oracle exactly and is exactly
-/// sized.  rowCounts/colCounts give each rank's share (colCounts empty:
-/// square, columns partitioned like the rows).
+/// On every rank, the owned-block view read row by row through
+/// ownedRange() equals the oracle exactly; every entry outside the range
+/// is a ghost; globalBlock() gives back the caller's rows exactly; and the
+/// view reads the operator's own storage, so a value refresh shows through.
+/// rowCounts/colCounts give each rank's share (colCounts empty: square,
+/// columns partitioned like the rows).
 void expectOwnedBlockMatchesOracle(const CsrMatrix& g,
                                    const std::vector<int>& rowCounts,
                                    const std::vector<int>& colCounts) {
@@ -342,20 +346,54 @@ void expectOwnedBlockMatchesOracle(const CsrMatrix& g,
   const int p = static_cast<int>(rowCounts.size());
   comm::World::run(p, [&](comm::Comm& c) {
     const auto r = static_cast<std::size_t>(c.rank());
-    const DistCsrMatrix dist(
-        c, g.rows, g.cols, rowStarts[r],
-        rowSlice(g, rowStarts[r], rowCounts[r]), colStarts);
+    const CsrMatrix given = rowSlice(g, rowStarts[r], rowCounts[r]);
+    DistCsrMatrix dist(c, g.rows, g.cols, rowStarts[r], given, colStarts);
     const std::vector<int>& cs = dist.colStarts();
     const CsrMatrix want =
         ownedBlockOracle(g, rowStarts[r], rowCounts[r], cs[r], cs[r + 1]);
-    const CsrMatrix got = dist.ownedBlock();
-    EXPECT_EQ(got.rows, want.rows);
-    EXPECT_EQ(got.cols, want.cols);
+    const OwnedBlockView view = dist.ownedBlockView();
+    EXPECT_EQ(view.rows, want.rows);
+    EXPECT_EQ(view.ownedCols, want.cols);
+    EXPECT_EQ(view.nnz(), dist.localNnz());
+    CsrMatrix got;
+    got.rows = view.rows;
+    got.cols = view.ownedCols;
+    got.rowPtr.push_back(0);
+    for (int i = 0; i < view.rows; ++i) {
+      const OwnedBlockView::Range own = view.ownedRange(i);
+      for (int k = view.rowPtr[i]; k < view.rowPtr[i + 1]; ++k) {
+        const int col = view.colIdx[k];
+        if (k >= own.begin && k < own.end) {
+          got.colIdx.push_back(col);
+          got.values.push_back(view.values[k]);
+        } else {
+          EXPECT_GE(col, view.ownedCols) << "rank " << r << " row " << i;
+          const int gc = dist.globalCol(col);
+          EXPECT_TRUE(gc < cs[r] || gc >= cs[r + 1]);
+        }
+      }
+      got.rowPtr.push_back(static_cast<int>(got.colIdx.size()));
+    }
     EXPECT_EQ(got.rowPtr, want.rowPtr) << "rank " << r;
     EXPECT_EQ(got.colIdx, want.colIdx) << "rank " << r;
     EXPECT_EQ(got.values, want.values) << "rank " << r;
-    EXPECT_EQ(got.colIdx.capacity(), got.colIdx.size());
-    EXPECT_EQ(got.values.capacity(), got.values.size());
+    const CsrMatrix back = dist.globalBlock();
+    EXPECT_EQ(back.cols, given.cols);
+    EXPECT_EQ(back.rowPtr, given.rowPtr) << "rank " << r;
+    EXPECT_EQ(back.colIdx, given.colIdx) << "rank " << r;
+    EXPECT_EQ(back.values, given.values) << "rank " << r;
+    // The view is the operator's storage: a refresh shows through it.
+    CsrMatrix twice = given;
+    for (double& v : twice.values) v *= 2.0;
+    dist.updateValues(twice);
+    for (int i = 0; i < view.rows; ++i) {
+      const OwnedBlockView::Range own = view.ownedRange(i);
+      for (int k = own.begin; k < own.end; ++k) {
+        const auto w = static_cast<std::size_t>(
+            want.rowPtr[static_cast<std::size_t>(i)] + (k - own.begin));
+        EXPECT_EQ(view.values[k], 2.0 * want.values[w]);
+      }
+    }
   });
 }
 
@@ -587,7 +625,7 @@ TEST(Dist, SpmvIsAllocationFreeSingleRank) {
 TEST(Dist, SpmvAllocatesOnlyTransportEnvelopesMultiRank) {
   // With two ranks the 1-D Laplacian couples the blocks through a single
   // entry each way, so per-call message payloads are a few bytes while the
-  // plan scratch (xExt, pack buffer) is ~n doubles.  If spmv re-allocated
+  // operator itself is ~n doubles.  If spmv re-allocated
   // its scratch per call, the counted bytes would be megabytes.
   const int n = 20000;
   const int reps = 16;
@@ -613,7 +651,7 @@ TEST(Dist, SpmvAllocatesOnlyTransportEnvelopesMultiRank) {
     c.barrier();
     if (c.rank() == 0) {
       g_countAllocs.store(false);
-      // Both ranks' transport traffic over all reps: far below one xExt.
+      // Both ranks' transport traffic over all reps: far below one x.
       EXPECT_LT(g_allocBytes.load(), static_cast<std::size_t>(n));
     }
     c.barrier();
