@@ -15,7 +15,9 @@
 #              the overlapped halo exchange, the blocking and nonblocking
 #              (split-phase) collective schedules, and the pipelined Krylov
 #              loops race-free;
-#   4. ASan+UBSan: rebuild with -DLISI_SANITIZE=address+undefined and run
+#   4. ASan+UBSan: rebuild with -DLISI_SANITIZE=address+undefined (which
+#              also defines _GLIBCXX_ASSERTIONS, so std::vector indexing is
+#              bounds-checked) and run
 #              the sparse, slu, and operator-reuse binaries — the value-only
 #              update paths write positionally into frozen factor / halo-plan
 #              storage, which is exactly the bug class these sanitizers
@@ -158,7 +160,9 @@ cmake --build build-tsan -j --target comm_test sparse_dist_test pksp_test \
 # plugin_test is here deliberately: it dlopens the refsolver and the four
 # broken-on-purpose fixture plugins (all built with the same sanitizer
 # flags by this tree), so the host↔plugin callback bridge, the option
-# forwarding, and the keep-alive registry all run under ASan+UBSan.
+# forwarding, and the keep-alive registry all run under ASan+UBSan.  The
+# SLU kernels index their run arrays through std::vector, which the
+# _GLIBCXX_ASSERTIONS this configuration defines bounds-checks.
 cmake -B build-asan -S . -DLISI_SANITIZE=address+undefined
 cmake --build build-asan -j --target sparse_dist_test slu_test \
   lisi_reuse_test plugin_test aztec_test lisi_solver_test \

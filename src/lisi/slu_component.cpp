@@ -32,12 +32,27 @@ class SluSolverPort final : public detail::SolverComponentBase {
 
     // Mixed precision: factor into float32 storage and wrap the float32
     // triangular solves in float64 iterative refinement against the kept
-    // CSC operator.  A precision flip invalidates the cached factorization
-    // (its storage precision no longer matches the request).
+    // CSC operator.
     const bool mixed = ctx.precision == prec::Mode::kMixed;
 
-    if (ctx.change != detail::OperatorChange::kSameOperator || !haveFactor_ ||
-        factorLow_ != mixed) {
+    // The options this solve asks for.  Parameters agree across ranks (the
+    // LISI contract), so every rank takes the same branches below.
+    slu::Options opts;
+    const std::string ord = paramString("ordering", "rcm");
+    const bool knownOrdering =
+        ord == "natural" || ord == "rcm" || ord == "mindeg";
+    if (ord == "natural") opts.ordering = slu::Ordering::kNatural;
+    else if (ord == "mindeg") opts.ordering = slu::Ordering::kMinDeg;
+    opts.diagPivotThresh = paramDouble("pivot_threshold", 1.0);
+    opts.equilibrate = paramBool("equilibrate", false);
+    opts.lowPrecision = mixed;
+    // A factorization built under other options (ordering, pivot threshold,
+    // equilibration, storage precision) is not the one asked for: it is
+    // rebuilt in full even when the operator is unchanged.
+    const bool sameOptions =
+        knownOrdering && haveFactor_ && opts == factorOptions_;
+
+    if (ctx.change != detail::OperatorChange::kSameOperator || !sameOptions) {
       // The gathered CSR is only the conversion's input: it is freed before
       // the factorization grows its fill.
       sparse::CscMatrix csc;
@@ -46,52 +61,41 @@ class SluSolverPort final : public detail::SolverComponentBase {
         if (isRoot) csc = sparse::csrToCsc(global);
       }
       int failed = 0;
-      if (isRoot) {
-        slu::Options opts;
-        const std::string ord = paramString("ordering", "rcm");
-        if (ord == "natural") opts.ordering = slu::Ordering::kNatural;
-        else if (ord == "rcm") opts.ordering = slu::Ordering::kRcm;
-        else if (ord == "mindeg") opts.ordering = slu::Ordering::kMinDeg;
-        else failed = static_cast<int>(ErrorCode::kInvalidArgument);
-        opts.diagPivotThresh = paramDouble("pivot_threshold", 1.0);
-        opts.equilibrate = paramBool("equilibrate", false);
-        opts.lowPrecision = mixed;
-        if (failed == 0) {
-          try {
-            // Same nonzero pattern: skip the symbolic phase and replay the
-            // numeric factorization in the frozen ordering
-            // (SamePattern_SameRowPerm).  Any defect — pattern drift, a
-            // pivot that became zero — falls back to a full factorize.
-            // A precision flip also forces the full path: the stored
-            // factorization's options no longer match the request.
-            bool refactored = false;
-            if (haveFactor_ && factorLow_ == mixed &&
-                ctx.change == detail::OperatorChange::kSameStructure) {
-              try {
-                factor_->refactorize(csc);
-                refactored = true;
-              } catch (const Error&) {
-                refactored = false;
-              }
+      if (isRoot && !knownOrdering) {
+        failed = static_cast<int>(ErrorCode::kInvalidArgument);
+      } else if (isRoot) {
+        try {
+          // Same nonzero pattern and options: skip the symbolic phase and
+          // replay the numeric factorization in the frozen ordering
+          // (SamePattern_SameRowPerm).  Any defect — pattern drift, a pivot
+          // that became zero — falls back to a full factorize.
+          bool refactored = false;
+          if (sameOptions &&
+              ctx.change == detail::OperatorChange::kSameStructure) {
+            try {
+              factor_->refactorize(csc);
+              refactored = true;
+            } catch (const Error&) {
+              refactored = false;
             }
-            if (!refactored) {
-              factor_ = slu::Factorization::factorize(csc, opts);
-            }
-            // Iterative refinement needs the operator at every solve.
-            if (mixed) {
-              csc_ = std::move(csc);
-            } else {
-              csc_ = sparse::CscMatrix{};
-            }
-          } catch (const Error&) {
-            failed = static_cast<int>(ErrorCode::kNumericFailure);
           }
+          if (!refactored) {
+            factor_ = slu::Factorization::factorize(csc, opts);
+          }
+          // Iterative refinement needs the operator at every solve.
+          if (mixed) {
+            csc_ = std::move(csc);
+          } else {
+            csc_ = sparse::CscMatrix{};
+          }
+        } catch (const Error&) {
+          failed = static_cast<int>(ErrorCode::kNumericFailure);
         }
       }
       failed = ctx.comm->bcastValue(failed, 0);
+      haveFactor_ = failed == 0;
       if (failed != 0) return failed;
-      haveFactor_ = true;
-      factorLow_ = mixed;
+      factorOptions_ = opts;
     }
 
     // Gather b, solve on root, scatter x.
@@ -127,7 +131,7 @@ class SluSolverPort final : public detail::SolverComponentBase {
   std::optional<slu::Factorization> factor_;  ///< rank 0 only
   sparse::CscMatrix csc_;  ///< rank 0, mixed mode only (refinement operator)
   bool haveFactor_ = false;
-  bool factorLow_ = false;  ///< precision the cached factorization holds
+  slu::Options factorOptions_;  ///< the options factor_ was built with
 };
 
 class SluSolverComponent final : public cca::Component {

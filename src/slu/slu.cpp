@@ -13,13 +13,20 @@
 // grow in a page mapping of their own (PageArray), outside the malloc
 // arenas.
 //
-// Update order.  Column j is eliminated by a frontier, not a depth-first
-// reach: word bitsets record which rows are touched, pivoted and queued,
-// and the queued pivot positions are popped in ascending order.  That is a
-// valid topological order — L column k only reaches rows pivoted after k —
-// and it is the order refactorize() replays (ascending U row), so
-// factorize(A) and refactorize(A) perform the same floating-point
-// operations in the same sequence and yield bitwise identical factors.
+// Update order.  Every element of the work column takes its updates in
+// ascending pivot position.  That is a valid order (L column k only reaches
+// rows pivoted after k) and it is the order refactorize() replays, so
+// factorize(A) and refactorize(A) agree bit for bit; the golden hashes in
+// slu_test pin the factors themselves.  factorize() keeps a word window of
+// the touched rows and sweeps the U column upward over a bitmap of touched
+// pivot positions: below the first off-diagonal pivot a row is its own
+// position, so a run marks its rows with word masks; past it, each newly
+// touched pivoted row marks its position.  The pivot search and the L
+// extraction walk the window.  Both kernels group up to four consecutive
+// pivot columns whose L columns are each one run starting right below the
+// pivot (the banded case): a head triangle resolves the group's u's, then
+// each element of the rest takes the group's updates, in ascending order,
+// in one pass over x.
 //
 // Pivot rule.  Threshold partial pivoting with diagonal preference: the
 // largest-magnitude candidate wins unless the diagonal is nonzero and
@@ -112,31 +119,35 @@ class PageArray {
 
 /// Columns of a triangular factor as runs of consecutive rows.  Column k
 /// owns runs [ptr[k], ptr[k+1]); run t covers rows [start[t], start[t] +
-/// off[t+1] - off[t]) with values val[off[t] ...].  `off` carries one
-/// sentinel past the last run (off.back() == val.size()).
+/// off[t+1] - off[t]) with values val[off[t] ...].  Once the column being
+/// built is ended, `off` carries one sentinel past the last run
+/// (off.back() == val.size()).
 struct RunColumns {
   std::vector<int> ptr{0}, start, off{0};
   PageArray val;
+  int next = -1;  ///< row that extends the open run; -1: no run is open
 
   /// Append (row, v) to the column being built.
   void append(int row, double v) {
-    val.push_back(v);
     place(row, static_cast<int>(val.size()));
+    val.push_back(v);
   }
-  /// The column's values now end at `end`, the last one in `row`: extends
-  /// the column's last run when `row` follows it directly, else opens one.
-  void place(int row, int end) {
-    const bool extends =
-        start.size() > static_cast<std::size_t>(ptr.back()) &&
-        start.back() + (off.back() - off[off.size() - 2]) == row;
-    if (extends) {
-      off.back() = end;
-    } else {
+  /// The column's next value, at offset `at`, is in `row`: extends the open
+  /// run when `row` follows it directly, else opens one.
+  void place(int row, int at) {
+    if (row != next) {
+      if (next >= 0) off.push_back(at);
       start.push_back(row);
-      off.push_back(end);
     }
+    next = row + 1;
   }
-  void endColumn() { ptr.push_back(static_cast<int>(start.size())); }
+  /// Ends the column being built; its values end at offset `end`.
+  void endColumn(int end) {
+    if (next >= 0) off.push_back(end);
+    ptr.push_back(static_cast<int>(start.size()));
+    next = -1;
+  }
+  void endColumn() { endColumn(static_cast<int>(val.size())); }
 };
 
 /// Calls fn(firstRow, valueOffset, length) for each run of column k.
@@ -156,12 +167,99 @@ inline void axpyRun(V* __restrict x, const V* __restrict v, int len,
   for (int i = 0; i < len; ++i) x[i] -= alpha * v[i];
 }
 
+/// x[0, len) -= sum_i u[i] * v[i][0, len) for G columns in one pass over x.
+/// Each element takes its updates in ascending i, so x ends bitwise as G
+/// sequential axpyRuns leave it.
+template <int G>
+void axpyGroup(double* __restrict x, const double* const* v, const double* u,
+               int len) {
+  const double* w[G];
+  for (int i = 0; i < G; ++i) w[i] = v[i];
+  for (int r = 0; r < len; ++r) {
+    double t = x[r];
+    for (int i = 0; i < G; ++i) t -= u[i] * w[i][r];
+    x[r] = t;
+  }
+}
+
+/// If L column k is one run starting right below its pivot (row k + 1),
+/// points v at its values and returns one past its last row; else -1.
+inline int runBelow(const RunColumns& l, int k, const double*& v) {
+  const auto c = static_cast<std::size_t>(k);
+  if (l.ptr[c + 1] - l.ptr[c] != 1) return -1;
+  const auto t = static_cast<std::size_t>(l.ptr[c]);
+  if (l.start[t] != k + 1) return -1;
+  v = l.val.data() + l.off[t];
+  return k + 1 + (l.off[t + 1] - l.off[t]);
+}
+
+/// Columns one grouped pass applies at most.
+constexpr int kGroup = 4;
+
+/// Left-looking update by pivot column k, whose L column is one run right
+/// below its pivot and whose u = x[k] is nonzero, grouped with as many of
+/// the columns k+1 .. k+3 below `limit` as can join it.  A column joins
+/// when its L column has the same shape and its u, resolved by the head
+/// triangle (the group's updates to rows k+1, k+2, ...), is nonzero.  The
+/// rows past the head then take the group's updates in one pass over x.
+/// Every element takes its updates in ascending pivot order, so x ends
+/// bitwise as per-column axpyRuns leave it.  Writes the members' u to
+/// u[0, size), sets `end` one past the last row updated, returns size.
+int groupUpdate(double* x, const RunColumns& l, int k, int limit,
+                double (&u)[kGroup], int& end) {
+  const double* v[kGroup];
+  int e[kGroup];
+  u[0] = x[k];
+  e[0] = runBelow(l, k, v[0]);
+  int g = 1;
+  int head = k + 1;  // rows [k+1, head) have taken every group update
+  for (; g < kGroup; ++g) {
+    const int r = k + g;
+    if (r >= limit || (e[g] = runBelow(l, r, v[g])) < 0) break;
+    double t = x[r];
+    for (int i = 0; i < g; ++i) {
+      if (r < e[i]) t -= u[i] * v[i][r - (k + i + 1)];
+    }
+    x[r] = t;
+    head = r + 1;
+    if (t == 0.0) break;
+    u[g] = t;
+  }
+  int common = e[0];
+  end = e[0];
+  for (int i = 1; i < g; ++i) {
+    common = std::min(common, e[i]);
+    end = std::max(end, e[i]);
+  }
+  if (head < common) {
+    const double* w[kGroup];
+    for (int i = 0; i < g; ++i) w[i] = v[i] + (head - (k + i + 1));
+    double* xs = x + head;
+    const int len = common - head;
+    switch (g) {
+      case 1: axpyRun(xs, w[0], len, u[0]); break;
+      case 2: axpyGroup<2>(xs, w, u, len); break;
+      case 3: axpyGroup<3>(xs, w, u, len); break;
+      default: axpyGroup<4>(xs, w, u, len); break;
+    }
+  }
+  // Rows past the shortest run, column by column in ascending order.
+  const int from = std::max(head, common);
+  for (int i = 0; i < g; ++i) {
+    if (from < e[i]) {
+      axpyRun(x + from, v[i] + (from - (k + i + 1)), e[i] - from, u[i]);
+    }
+  }
+  return g;
+}
+
 using Word = std::uint64_t;
 constexpr int kWordBits = 64;
 
 /// Calls fn(wordIndex, mask) for each bitset word overlapping [s, s+len).
+/// Inlined: factorize() marks every run it updates through it.
 template <class F>
-void forRangeWords(int s, int len, F&& fn) {
+[[gnu::always_inline]] inline void forRangeWords(int s, int len, F&& fn) {
   const int e = s + len;
   for (int w = s / kWordBits; w * kWordBits < e; ++w) {
     const int lo = std::max(s - w * kWordBits, 0);
@@ -178,6 +276,14 @@ inline void forBits(Word m, int base, F&& fn) {
   while (m != 0) {
     fn(base + std::countr_zero(m));
     m &= m - 1;
+  }
+}
+
+/// Calls fn(i), ascending, for each set bit i of words [lo, hi] of `set`.
+template <class F>
+void forTouched(const std::vector<Word>& set, int lo, int hi, F&& fn) {
+  for (int w = lo; w <= hi; ++w) {
+    forBits(set[static_cast<std::size_t>(w)], w * kWordBits, fn);
   }
 }
 }  // namespace
@@ -249,18 +355,6 @@ struct Factorization::Impl {
     return rowScale.empty() ? 1.0 : rowScale[static_cast<std::size_t>(r)];
   }
 
-  /// Pivot growth max|U| / max|D A|.
-  void computePivotGrowth(const CscMatrix& a) {
-    double maxA = 0.0;
-    for (std::size_t k = 0; k < a.values.size(); ++k) {
-      maxA = std::max(maxA, std::abs(a.values[k] * scaleOf(a.rowIdx[k])));
-    }
-    double maxU = 0.0;
-    for (double v : uDiag) maxU = std::max(maxU, std::abs(v));
-    for (double v : u.val) maxU = std::max(maxU, std::abs(v));
-    stats.pivotGrowth = maxA > 0.0 ? maxU / maxA : 0.0;
-  }
-
   int replay(const CscMatrix& a);
   template <class V>
   void solveColumns(const V* lVal, const V* uVal, const V* uDiagV,
@@ -307,32 +401,70 @@ Factorization Factorization::factorize(const CscMatrix& a,
     qinv[static_cast<std::size_t>(f.q[static_cast<std::size_t>(j)])] = j;
   }
 
-  // touched/pivoted/queued are indexed by row, frontier by pivot position.
+  // Rows [0, diag) are pivoted on the diagonal (pivotOf[c] == c), and no row
+  // at or past pivHi is pivoted.  `rows` marks the touched rows; `pos`
+  // marks, by pivot position, the touched pivoted rows at or past diag,
+  // where a row and its position may differ.
+  int diag = 0, pivHi = 0;
   const std::size_t words = (nz + kWordBits - 1) / kWordBits;
-  std::vector<Word> touched(words, 0), pivoted(words, 0), queued(words, 0),
-      frontier(words, 0);
+  std::vector<Word> rows(words, 0), pos(words, 0);
   auto bit = [](int i) { return Word{1} << (i % kWordBits); };
-  auto test = [&](const std::vector<Word>& s, int i) {
-    return (s[static_cast<std::size_t>(i / kWordBits)] & bit(i)) != 0;
+  auto word = [](std::vector<Word>& set, int i) -> Word& {
+    return set[static_cast<std::size_t>(i / kWordBits)];
   };
+  auto pivoted = [&](int c) { return pivotOf[static_cast<std::size_t>(c)] >= 0; };
 
   f.work.assign(nz, 0.0);
   double* x = f.work.data();  // indexed by row here, left all zero
   RunColumns l;  // rows in ordering coordinates until the end
   RunColumns& u = f.u;
   f.uDiag.assign(nz, 0.0);
+  double maxA = 0.0, maxU = 0.0;  // for the pivot growth
 
   for (int j = 0; j < n; ++j) {
     const int col = f.q[static_cast<std::size_t>(j)];
-    // Word windows [lo, hi] of the touched rows and queued positions.
-    int tLo = static_cast<int>(words), tHi = -1;
-    int fLo = static_cast<int>(words), fHi = -1;
-    auto enqueue = [&](int c) {
-      queued[static_cast<std::size_t>(c / kWordBits)] |= bit(c);
+    // Word windows [lo, hi] of the touched rows and positions.
+    int rLo = static_cast<int>(words), rHi = -1;
+    int pLo = static_cast<int>(words), pHi = -1;
+    // Row c, newly touched: if it was pivoted where a row and its position
+    // may differ, marks its position.  Out of line, off the runs' path.
+    auto markPosition = [&](int c) __attribute__((noinline)) {
+      if (c < diag || !pivoted(c)) return;
       const int k = pivotOf[static_cast<std::size_t>(c)];
-      frontier[static_cast<std::size_t>(k / kWordBits)] |= bit(k);
-      fLo = std::min(fLo, k / kWordBits);
-      fHi = std::max(fHi, k / kWordBits);
+      word(pos, k) |= bit(k);
+      pLo = std::min(pLo, k / kWordBits);
+      pHi = std::max(pHi, k / kWordBits);
+    };
+    // Marks rows [s, e) touched with word masks.  Inlined: every run of
+    // every update calls it.
+    auto mark = [&](int s, int e) __attribute__((always_inline)) {
+      const bool broken = e > diag && s < pivHi;
+      forRangeWords(s, e - s, [&](int w, Word m) {
+        Word& rw = rows[static_cast<std::size_t>(w)];
+        if (broken) forBits(m & ~rw, w * kWordBits, markPosition);
+        rw |= m;
+      });
+    };
+    // Widens the row window to rows [s, e).
+    auto widen = [&](int s, int e) {
+      rLo = std::min(rLo, s / kWordBits);
+      rHi = std::max(rHi, (e - 1) / kWordBits);
+    };
+    // Column k's update, one run at a time; u = xk != 0.  The runs ascend,
+    // so the window widens once, to the first and the last.
+    auto update = [&](int k, double xk) {
+      u.append(k, xk);
+      maxU = std::max(maxU, std::abs(xk));
+      const auto t0 = static_cast<std::size_t>(l.ptr[static_cast<std::size_t>(k)]);
+      const auto t1 =
+          static_cast<std::size_t>(l.ptr[static_cast<std::size_t>(k) + 1]);
+      if (t0 == t1) return;
+      for (std::size_t t = t0; t < t1; ++t) {
+        const int s = l.start[t], off = l.off[t], len = l.off[t + 1] - off;
+        axpyRun(x + s, l.val.data() + off, len, xk);
+        mark(s, s + len);
+      }
+      widen(l.start[t0], l.start[t1 - 1] + (l.off[t1] - l.off[t1 - 1]));
     };
 
     // Scatter the column of A.
@@ -340,100 +472,123 @@ Factorization Factorization::factorize(const CscMatrix& a,
          t < a.colPtr[static_cast<std::size_t>(col) + 1]; ++t) {
       const int r = a.rowIdx[static_cast<std::size_t>(t)];
       const int c = qinv[static_cast<std::size_t>(r)];
-      x[c] += a.values[static_cast<std::size_t>(t)] * f.scaleOf(r);
-      touched[static_cast<std::size_t>(c / kWordBits)] |= bit(c);
-      tLo = std::min(tLo, c / kWordBits);
-      tHi = std::max(tHi, c / kWordBits);
-      if (test(pivoted, c) && !test(queued, c)) enqueue(c);
+      const double v = a.values[static_cast<std::size_t>(t)] * f.scaleOf(r);
+      maxA = std::max(maxA, std::abs(v));
+      x[c] += v;
+      mark(c, c + 1);
+      widen(c, c + 1);
     }
 
-    // Left-looking updates, popping queued pivot positions in ascending
-    // order.  A popped column only queues rows pivoted after it, so the
-    // sweep never has to look back.
-    for (int w = fLo; w <= fHi; ++w) {
-      Word& fw = frontier[static_cast<std::size_t>(w)];
-      while (fw != 0) {
-        const int k = w * kWordBits + std::countr_zero(fw);
-        fw &= fw - 1;
-        const double xk = x[rowAt[static_cast<std::size_t>(k)]];
-        if (xk == 0.0) continue;
-        u.append(k, xk);
-        forRuns(l, k, [&](int s, int off, int len) {
-          axpyRun(x + s, l.val.data() + off, len, xk);
-          tLo = std::min(tLo, s / kWordBits);
-          tHi = std::max(tHi, (s + len - 1) / kWordBits);
-          forRangeWords(s, len, [&](int rw, Word m) {
-            const auto o = static_cast<std::size_t>(rw);
-            touched[o] |= m;
-            forBits(m & pivoted[o] & ~queued[o], rw * kWordBits, enqueue);
-          });
-        });
+    // Left-looking updates in ascending pivot position.  An update by
+    // column k only touches rows pivoted after k, so neither sweep looks
+    // back.  Below diag, positions are rows: pop the touched ones.
+    for (int w = rLo; w * kWordBits < diag; ++w) {
+      const int below = std::min(diag - w * kWordBits, kWordBits);
+      const Word live = below == kWordBits ? ~Word{0} : (Word{1} << below) - 1;
+      Word& rw = rows[static_cast<std::size_t>(w)];
+      for (Word m; (m = rw & live) != 0;) {
+        const int k = w * kWordBits + std::countr_zero(m);
+        const double xk = x[k];
+        const double* v = nullptr;
+        if (xk == 0.0 || runBelow(l, k, v) < 0) {
+          x[k] = 0.0;
+          rw &= ~bit(k);
+          if (xk != 0.0) update(k, xk);
+          continue;
+        }
+        double us[kGroup];
+        int end = 0;
+        const int g = groupUpdate(x, l, k, diag, us, end);
+        mark(k + 1, end);
+        widen(k + 1, end);
+        for (int i = 0; i < g; ++i) {
+          u.append(k + i, us[i]);
+          maxU = std::max(maxU, std::abs(us[i]));
+          x[k + i] = 0.0;
+          word(rows, k + i) &= ~bit(k + i);
+        }
+      }
+    }
+    // From diag on, the touched positions were marked one by one.
+    for (int w = pLo; w <= pHi; ++w) {
+      Word& pw = pos[static_cast<std::size_t>(w)];
+      while (pw != 0) {
+        const int k = w * kWordBits + std::countr_zero(pw);
+        pw &= pw - 1;
+        const int c = rowAt[static_cast<std::size_t>(k)];
+        const double xk = x[c];
+        x[c] = 0.0;
+        if (xk != 0.0) update(k, xk);
       }
     }
     u.endColumn();
 
-    // Pivot search over the unpivoted touched rows, ascending, so the first
-    // of equal-magnitude candidates (lowest ordering coordinate) wins.
+    // Pivot search over the touched rows, ascending, so the first of
+    // equal-magnitude candidates (lowest ordering coordinate) wins.  Every
+    // pivoted row's x was zeroed when it was popped, so only unpivoted rows
+    // can win, and the rows below diag were all popped.
+    const int rFrom = std::max(rLo, diag / kWordBits);
     double maxAbs = 0.0;
     int pc = -1;
-    for (int w = tLo; w <= tHi; ++w) {
-      const auto o = static_cast<std::size_t>(w);
-      forBits(touched[o] & ~pivoted[o], w * kWordBits, [&](int c) {
-        const double mag = std::abs(x[c]);
-        if (mag > maxAbs) {
-          maxAbs = mag;
-          pc = c;
-        }
-      });
-    }
+    forTouched(rows, rFrom, rHi, [&](int c) {
+      const double mag = std::abs(x[c]);
+      if (mag > maxAbs) {
+        maxAbs = mag;
+        pc = c;
+      }
+    });
     LISI_CHECK(pc >= 0 && maxAbs > 0.0,
                "SLU: matrix is singular (zero pivot column " +
                    std::to_string(col) + ")");
     // Threshold pivoting: prefer the diagonal (ordering coordinate j) when
     // it is large enough.
     const double xd = x[j];
-    if (pc != j && !test(pivoted, j) && xd != 0.0 &&
+    if (pc != j && !pivoted(j) && xd != 0.0 &&
         std::abs(xd) >= options.diagPivotThresh * maxAbs) {
       pc = j;
     }
     if (pc != j) ++f.stats.offDiagonalPivots;
     const double pivot = x[pc];
     f.uDiag[static_cast<std::size_t>(j)] = pivot;
+    maxU = std::max(maxU, std::abs(pivot));
 
     // Extract L below the pivot, ascending, and reset the work state.
-    for (int w = tLo; w <= tHi; ++w) {
-      const auto o = static_cast<std::size_t>(w);
-      forBits(touched[o], w * kWordBits, [&](int c) {
-        double& v = x[c];
-        if (c != pc && !test(pivoted, c) && v != 0.0) l.append(c, v / pivot);
-        v = 0.0;
-      });
-      touched[o] = 0;
-      queued[o] = 0;
-    }
+    forTouched(rows, rFrom, rHi, [&](int c) {
+      double& v = x[c];
+      if (v != 0.0 && c != pc) l.append(c, v / pivot);
+      v = 0.0;
+    });
+    std::fill(rows.begin() + rFrom, rows.begin() + rHi + 1, Word{0});
     l.endColumn();
-    pivoted[static_cast<std::size_t>(pc / kWordBits)] |= bit(pc);
     pivotOf[static_cast<std::size_t>(pc)] = j;
     rowAt[static_cast<std::size_t>(j)] = pc;
+    if (pc == j && diag == j) ++diag;
+    pivHi = std::max(pivHi, pc + 1);
   }
 
   // Renumber L's rows to pivot coordinates; the values keep their order,
   // only the run boundaries move where pivoting broke consecutiveness.
-  f.l.val = std::move(l.val);
-  for (int k = 0; k < n; ++k) {
-    forRuns(l, k, [&](int s, int off, int len) {
-      for (int i = 0; i < len; ++i) {
-        f.l.place(pivotOf[static_cast<std::size_t>(s + i)], off + i + 1);
-      }
-    });
-    f.l.endColumn();
+  // Without an off-diagonal pivot the renumbering is the identity.
+  if (f.stats.offDiagonalPivots == 0) {
+    f.l = std::move(l);
+  } else {
+    f.l.val = std::move(l.val);
+    for (int k = 0; k < n; ++k) {
+      forRuns(l, k, [&](int s, int off, int len) {
+        for (int i = 0; i < len; ++i) {
+          f.l.place(pivotOf[static_cast<std::size_t>(s + i)], off + i);
+        }
+      });
+      f.l.endColumn(l.off[static_cast<std::size_t>(
+          l.ptr[static_cast<std::size_t>(k) + 1])]);
+    }
   }
   f.pinv.resize(nz);
   for (std::size_t r = 0; r < nz; ++r) {
     f.pinv[r] = pivotOf[static_cast<std::size_t>(qinv[r])];
   }
 
-  f.computePivotGrowth(a);
+  f.stats.pivotGrowth = maxA > 0.0 ? maxU / maxA : 0.0;
   f.stats.nnzL = n + static_cast<long long>(f.l.val.size());
   f.stats.nnzU = n + static_cast<long long>(f.u.val.size());
   f.stats.fillRatio =
@@ -446,13 +601,17 @@ Factorization Factorization::factorize(const CscMatrix& a,
 
 // lisi-lint: zero-alloc-begin(refactorize replay: factorize-sized work column)
 /// Left-looking numeric replay over the frozen runs, in pivot coordinates
-/// and ascending U-row order — the order factorize() applied the updates
-/// in.  Only the [lo, hi] window a column touched is cleared afterwards:
-/// update writes may land on positions the (numerically pruned) stored
-/// pattern misses, and those must not leak into later columns.  Returns -1,
-/// or the position of an exactly zero pivot (with the work column cleared).
+/// and ascending U-row order.  It groups columns as factorize() does, with
+/// groups cut at the end of a U run instead; grouping never changes the
+/// order in which an element takes its updates.  Only the
+/// [lo, hi] window a column touched is cleared afterwards: update writes
+/// may land on positions the (numerically pruned) stored pattern misses,
+/// and those must not leak into later columns.  Refreshes the pivot growth
+/// and returns -1, or returns the position of an exactly zero pivot (with
+/// the work column cleared).
 int Factorization::Impl::replay(const CscMatrix& a) {
   double* x = work.data();
+  double maxA = 0.0, maxU = 0.0;
   for (int j = 0; j < n; ++j) {
     const int col = q[static_cast<std::size_t>(j)];
     int lo = j, hi = j;
@@ -460,18 +619,35 @@ int Factorization::Impl::replay(const CscMatrix& a) {
          t < a.colPtr[static_cast<std::size_t>(col) + 1]; ++t) {
       const int r = a.rowIdx[static_cast<std::size_t>(t)];
       const int p = pinv[static_cast<std::size_t>(r)];
-      x[p] += a.values[static_cast<std::size_t>(t)] * scaleOf(r);
+      const double v = a.values[static_cast<std::size_t>(t)] * scaleOf(r);
+      maxA = std::max(maxA, std::abs(v));
+      x[p] += v;
       lo = std::min(lo, p);
       hi = std::max(hi, p);
     }
+    // Updates only reach rows below their pivot, so lo stays put.
     forRuns(u, j, [&](int s, int off, int len) {
       for (int i = 0; i < len; ++i) {
-        const double ukj = x[s + i];
+        const int k = s + i;
+        const double ukj = x[k];
         u.val[static_cast<std::size_t>(off + i)] = ukj;
+        maxU = std::max(maxU, std::abs(ukj));
         if (ukj == 0.0) continue;
-        forRuns(l, s + i, [&](int ls, int loff, int llen) {
+        const double* v = nullptr;
+        if (runBelow(l, k, v) >= 0) {
+          double us[kGroup];
+          int end = 0;
+          const int g = groupUpdate(x, l, k, s + len, us, end);
+          for (int m = 1; m < g; ++m) {
+            u.val[static_cast<std::size_t>(off + i + m)] = us[m];
+            maxU = std::max(maxU, std::abs(us[m]));
+          }
+          hi = std::max(hi, end - 1);
+          i += g - 1;
+          continue;
+        }
+        forRuns(l, k, [&](int ls, int loff, int llen) {
           axpyRun(x + ls, l.val.data() + loff, llen, ukj);
-          lo = std::min(lo, ls);
           hi = std::max(hi, ls + llen - 1);
         });
       }
@@ -479,6 +655,7 @@ int Factorization::Impl::replay(const CscMatrix& a) {
     const double pivot = x[j];
     if (pivot != 0.0) {
       uDiag[static_cast<std::size_t>(j)] = pivot;
+      maxU = std::max(maxU, std::abs(pivot));
       forRuns(l, j, [&](int s, int off, int len) {
         for (int i = 0; i < len; ++i) {
           l.val[static_cast<std::size_t>(off + i)] = x[s + i] / pivot;
@@ -488,6 +665,7 @@ int Factorization::Impl::replay(const CscMatrix& a) {
     std::fill(x + lo, x + hi + 1, 0.0);
     if (pivot == 0.0) return j;
   }
+  stats.pivotGrowth = maxA > 0.0 ? maxU / maxA : 0.0;
   return -1;
 }
 // lisi-lint: zero-alloc-end
@@ -510,9 +688,8 @@ void Factorization::refactorize(const CscMatrix& a) {
                  std::to_string(zeroPivot) +
                  " under the frozen pivot sequence; a full factorize() is "
                  "required");
-  // Refresh the value-dependent diagnostics; the symbolic stats (fill,
+  // The replay refreshed the pivot growth; the symbolic stats (fill,
   // permutation quality) are unchanged by construction.
-  f.computePivotGrowth(a);
   if (f.options.lowPrecision) f.mirrorFactorsToFloat();
   gNumericRefactorizations.fetch_add(1, std::memory_order_relaxed);
   lisi::obs::count("slu.factor.numeric_refresh");

@@ -10,10 +10,10 @@
 // Kernels: the factors are stored as runs of consecutive rows (first row,
 // value offset per run), so every factorization update and every
 // triangular-solve step is a dense axpy over a run; under a banded ordering
-// such as RCM each L column is one run.  factorize() eliminates each column
-// with a frontier that applies earlier columns in ascending pivot order —
-// the order refactorize() replays — so the two produce bitwise identical
-// factors for the same values (see slu.cpp).
+// such as RCM each L column is one run, and up to four such columns are
+// applied in one pass.  Every element takes its updates in ascending pivot
+// order in both factorize() and refactorize(), so the two produce bitwise
+// identical factors for the same values (see slu.cpp).
 //
 // Native input format is CSC (column-compressed), as in SuperLU; LISI's
 // SluSolverComponent converts whatever the application supplies.
@@ -58,6 +58,8 @@ struct Options {
   /// float32-level error; wrap them in solveRefined (float64 residuals
   /// against the original matrix) to recover float64 accuracy.
   bool lowPrecision = false;
+
+  bool operator==(const Options&) const = default;
 };
 
 /// Factorization statistics (SuperLUStat_t analogue).

@@ -20,31 +20,62 @@ struct Adjacency {
   }
 };
 
+/// Two counting passes, no per-vertex vectors.  The first buckets each
+/// off-diagonal entry (i, j) under both endpoints, which gives every
+/// vertex its neighbours unsorted and with repeats.  The second re-buckets
+/// those lists by neighbour: walking the vertices in ascending order fills
+/// every list ascending, so repeats sit side by side and drop out as the
+/// lists are compacted.
 Adjacency buildAdjacency(const CscMatrix& a) {
   const int n = a.cols;
-  std::vector<std::vector<int>> nbr(static_cast<std::size_t>(n));
+  const auto nz = static_cast<std::size_t>(n);
+  std::vector<int> ptr(nz + 1, 0);
   for (int j = 0; j < n; ++j) {
     for (int k = a.colPtr[static_cast<std::size_t>(j)];
          k < a.colPtr[static_cast<std::size_t>(j) + 1]; ++k) {
       const int i = a.rowIdx[static_cast<std::size_t>(k)];
       if (i == j) continue;
-      nbr[static_cast<std::size_t>(i)].push_back(j);
-      nbr[static_cast<std::size_t>(j)].push_back(i);
+      ++ptr[static_cast<std::size_t>(i) + 1];
+      ++ptr[static_cast<std::size_t>(j) + 1];
     }
   }
+  for (std::size_t v = 0; v < nz; ++v) ptr[v + 1] += ptr[v];
+  // Both passes fill bucket v from fill[v] upward; the lists are symmetric,
+  // so the two passes share the bucket sizes.
+  std::vector<int> fill(ptr.begin(), ptr.end() - 1);
+  std::vector<int> raw(static_cast<std::size_t>(ptr.back()));
+  for (int j = 0; j < n; ++j) {
+    for (int k = a.colPtr[static_cast<std::size_t>(j)];
+         k < a.colPtr[static_cast<std::size_t>(j) + 1]; ++k) {
+      const int i = a.rowIdx[static_cast<std::size_t>(k)];
+      if (i == j) continue;
+      raw[static_cast<std::size_t>(fill[static_cast<std::size_t>(i)]++)] = j;
+      raw[static_cast<std::size_t>(fill[static_cast<std::size_t>(j)]++)] = i;
+    }
+  }
+  std::copy(ptr.begin(), ptr.end() - 1, fill.begin());
+  std::vector<int> sorted(raw.size());
+  for (int w = 0; w < n; ++w) {
+    for (int k = ptr[static_cast<std::size_t>(w)];
+         k < ptr[static_cast<std::size_t>(w) + 1]; ++k) {
+      const auto v = static_cast<std::size_t>(raw[static_cast<std::size_t>(k)]);
+      sorted[static_cast<std::size_t>(fill[v]++)] = w;
+    }
+  }
+  // Compact in place, dropping repeats.
   Adjacency adj;
-  adj.ptr.assign(static_cast<std::size_t>(n) + 1, 0);
-  for (int v = 0; v < n; ++v) {
-    auto& list = nbr[static_cast<std::size_t>(v)];
-    std::sort(list.begin(), list.end());
-    list.erase(std::unique(list.begin(), list.end()), list.end());
-    adj.ptr[static_cast<std::size_t>(v) + 1] =
-        adj.ptr[static_cast<std::size_t>(v)] + static_cast<int>(list.size());
+  adj.ptr.assign(nz + 1, 0);
+  std::size_t out = 0;
+  for (std::size_t v = 0; v < nz; ++v) {
+    const std::size_t first = out;
+    for (int k = ptr[v]; k < ptr[v + 1]; ++k) {
+      const int w = sorted[static_cast<std::size_t>(k)];
+      if (out == first || sorted[out - 1] != w) sorted[out++] = w;
+    }
+    adj.ptr[v + 1] = static_cast<int>(out);
   }
-  adj.idx.reserve(static_cast<std::size_t>(adj.ptr.back()));
-  for (const auto& list : nbr) {
-    adj.idx.insert(adj.idx.end(), list.begin(), list.end());
-  }
+  sorted.resize(out);
+  adj.idx = std::move(sorted);
   return adj;
 }
 

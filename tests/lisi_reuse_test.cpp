@@ -283,6 +283,63 @@ TEST(LisiReuseSlu, ZeroFrozenPivotFallsBackToFullFactorization) {
   });
 }
 
+// ---- SLU: options changed since the factorization rebuild it ------------
+
+TEST(LisiReuseSlu, ChangedOptionsRebuildTheFactorization) {
+  // The factors depend on the ordering, the pivot threshold and the
+  // equilibration.  Changing one before a solve on an unchanged operator
+  // (kSameOperator), or before a same-pattern value update
+  // (kSameStructure), must cost one full factorization and give bitwise
+  // the solution of a fresh component configured the same way.
+  const int gridN = 9;
+  World::run(2, [&](Comm& c) {
+    mesh::Pde5ptSpec spec;
+    spec.gridN = gridN;
+    const auto sys = mesh::assembleLocal(spec, c.rank(), c.size());
+    sparse::CsrMatrix scaled = sys.localA;
+    for (double& v : scaled.values) v *= 1.25;
+    cca::Framework fw;
+    const long h = comm::registerHandle(c);
+    auto s = wireSolver(fw, h, 2, sys, gridN);
+    (void)feedAndSolve(*s, sys.localA, sys.localB);
+
+    struct Step {
+      const char* key;
+      const char* value;
+      const sparse::CsrMatrix* a;
+    };
+    std::map<std::string, std::string> params;
+    for (const Step& step : {Step{"ordering", "natural", &sys.localA},
+                             Step{"pivot_threshold", "0.5", &sys.localA},
+                             Step{"equilibrate", "true", &scaled}}) {
+      SCOPED_TRACE(step.key);
+      params[step.key] = step.value;
+      ASSERT_EQ(s->set(step.key, step.value), 0);
+
+      c.barrier();
+      const long long sym0 = slu::symbolicFactorizations();
+      const long long refac0 = slu::numericRefactorizations();
+      c.barrier();
+
+      const std::vector<double> x = feedAndSolve(*s, *step.a, sys.localB);
+
+      c.barrier();
+      const long long symDelta = slu::symbolicFactorizations() - sym0;
+      const long long refacDelta = slu::numericRefactorizations() - refac0;
+      c.barrier();
+
+      EXPECT_EQ(symDelta, 1) << "the factorization under the old options "
+                                "was reused";
+      EXPECT_EQ(refacDelta, 0);
+
+      auto fresh = wireSolver(fw, h, 2, sys, gridN);
+      for (const auto& [k, v] : params) ASSERT_EQ(fresh->set(k, v), 0);
+      EXPECT_EQ(x, feedAndSolve(*fresh, *step.a, sys.localB));
+    }
+    comm::releaseHandle(h);
+  });
+}
+
 // ---- Aztec views the port's operator ------------------------------------
 
 class LisiAztecView : public ::testing::TestWithParam<int> {};  // ranks

@@ -7,6 +7,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdint>
 #include <cstring>
 
 #include "mesh/pde5pt.hpp"
@@ -522,7 +523,8 @@ TEST(SluContract, RefactorizeIsBitwiseFactorizeUnderRowInterchanges) {
   }
 }
 
-TEST(SluContract, EquilibratedSolveHitsKnownSolution) {
+/// The 24x24 paper PDE with row i scaled by 10^((i % 7) - 3).
+CsrMatrix badlyScaledPde24() {
   lisi::mesh::Pde5ptSpec spec;
   spec.gridN = 24;
   CsrMatrix a = lisi::mesh::assembleGlobal(spec).localA;
@@ -533,9 +535,13 @@ TEST(SluContract, EquilibratedSolveHitsKnownSolution) {
       a.values[static_cast<std::size_t>(k)] *= s;
     }
   }
+  return a;
+}
+
+TEST(SluContract, EquilibratedSolveHitsKnownSolution) {
   Options opts;
   opts.equilibrate = true;
-  EXPECT_LT(knownSolutionError(a, opts, false), 1e-12);
+  EXPECT_LT(knownSolutionError(badlyScaledPde24(), opts, false), 1e-12);
 }
 
 TEST(SluContract, LowPrecisionRefinedSolveHitsKnownSolution) {
@@ -596,6 +602,80 @@ TEST(SluContract, ZeroPivotReplayLeavesNoStaleState) {
   const auto fresh = Factorization::factorize(csrToCsc(good), opts);
   EXPECT_TRUE(bitwiseEqual(threeSolves(fresh), threeSolves(fact)));
   expectSameStats(fresh.stats(), fact.stats());
+}
+
+/// 64-bit FNV-1a over the bytes of `v`.
+template <class T>
+std::uint64_t fnv1a(const std::vector<T>& v) {
+  std::uint64_t h = 0xcbf29ce484222325ULL;
+  const auto* p = reinterpret_cast<const unsigned char*>(v.data());
+  for (std::size_t i = 0; i < v.size() * sizeof(T); ++i) {
+    h = (h ^ p[i]) * 0x100000001b3ULL;
+  }
+  return h;
+}
+
+std::uint64_t bitsOf(double d) {
+  std::uint64_t u = 0;
+  std::memcpy(&u, &d, sizeof u);
+  return u;
+}
+
+TEST(SluContract, FactorsBitwiseUnchangedFromParent) {
+  // Golden values: the solution bits of threeSolves, the fill, the pivot
+  // count and the pivot growth bits of each input, recorded from the
+  // frontier kernel that predates the grouped updates.  Any change to the
+  // elimination's floating-point operations or their order moves a hash.
+  Rng rng(31);
+  const CscMatrix random = csrToCsc(randomNeedsPivoting(200, rng));
+  const CscMatrix pde63 = pdeCsc(63);
+  const CscMatrix pde24 = pdeCsc(24);
+  const CscMatrix scaled = csrToCsc(badlyScaledPde24());
+  auto with = [](Ordering o, bool equilibrate = false) {
+    Options opts;
+    opts.ordering = o;
+    opts.equilibrate = equilibrate;
+    return opts;
+  };
+  struct Golden {
+    const char* name;
+    const CscMatrix* a;
+    Options opts;
+    std::uint64_t solves;
+    long long nnzL, nnzU;
+    int offDiagonalPivots;
+    std::uint64_t pivotGrowth;
+  };
+  const Golden cases[] = {
+      {"rcm_pde63", &pde63, with(Ordering::kRcm), 0x67249090bf9dcee3ULL,
+       172578, 172578, 0, 0x3ff0000000000000ULL},
+      {"natural_pde24", &pde24, with(Ordering::kNatural),
+       0xeb45fad954ffc0bfULL, 13847, 13847, 0, 0x3ff0000000000000ULL},
+      {"mindeg_pde24", &pde24, with(Ordering::kMinDeg), 0xe10227679491bad2ULL,
+       6115, 6115, 0, 0x3ff0000000000000ULL},
+      {"natural_random200", &random, with(Ordering::kNatural),
+       0xe488c746cfec8a80ULL, 10731, 10420, 199, 0x3ff7e6394e06f8daULL},
+      {"rcm_random200", &random, with(Ordering::kRcm), 0x471c0870ab716a04ULL,
+       9118, 9552, 200, 0x3ff28ca9c93773f2ULL},
+      {"equilibrated_pde24", &scaled, with(Ordering::kRcm, true),
+       0x2374aee89ae4db31ULL, 10052, 10052, 0, 0x3ff0000000000000ULL},
+  };
+  for (const Golden& g : cases) {
+    SCOPED_TRACE(g.name);
+    const auto fact = Factorization::factorize(*g.a, g.opts);
+    const Stats& st = fact.stats();
+    EXPECT_EQ(fnv1a(threeSolves(fact)), g.solves);
+    EXPECT_EQ(st.nnzL, g.nnzL);
+    EXPECT_EQ(st.nnzU, g.nnzU);
+    EXPECT_EQ(st.offDiagonalPivots, g.offDiagonalPivots);
+    EXPECT_EQ(bitsOf(st.pivotGrowth), g.pivotGrowth);
+    expectRefactorizeIsBitwiseFactorize(*g.a, g.opts);
+  }
+  // The RCM permutations pin the adjacency the ordering is built from.
+  EXPECT_EQ(fnv1a(computeOrdering(pde63, Ordering::kRcm)),
+            0x0a19356044ff9db0ULL);
+  EXPECT_EQ(fnv1a(computeOrdering(random, Ordering::kRcm)),
+            0x90b99f440f125cc5ULL);
 }
 
 }  // namespace
