@@ -3,10 +3,11 @@
 //
 // Each step of an implicit scheme re-assembles the system matrix with new
 // values (the time-step scaling, a lagged coefficient, ...) on the SAME
-// sparsity pattern.  The port detects this — a structural fingerprint is
-// compared collectively on every setupMatrix — and downgrades the re-setup
-// to a value-only update: the halo plan, the symbolic factorization (slu)
-// and the preconditioner skeleton (pksp) all survive from step 0.
+// sparsity pattern.  The port detects this — each rank compares its block
+// with the held operator entry by entry, and one allreduce agrees — and
+// downgrades the re-setup to a value-only update: the halo plan, the
+// symbolic factorization (slu) and the preconditioner skeleton (pksp) all
+// survive from step 0.
 //
 // The per-step timings printed below come straight out of the solve status
 // array (kStatusSetupSeconds / kStatusSolveSeconds): step 0 pays the full

@@ -157,6 +157,11 @@ cmake --build build-tsan -j --target comm_test sparse_dist_test pksp_test \
 # outlived its storage would be a use-after-free.  pksp_test and hymg_test
 # are here for the same reason: pksp SOR/ILU(0), aztec ILU/SGS and HyMG's
 # hybrid Gauss-Seidel read their operator through its owned-block view.
+# failure_injection_test and service_test are here because HyMG now holds
+# the port's operator as its fine level, and the service re-feeds its
+# operators every batch: a fine level outliving the port's operator, or a
+# rejected (non-finite) set-up leaving a dangling view, would be a
+# use-after-free.
 # plugin_test is here deliberately: it dlopens the refsolver and the four
 # broken-on-purpose fixture plugins (all built with the same sanitizer
 # flags by this tree), so the host↔plugin callback bridge, the option
@@ -166,7 +171,8 @@ cmake --build build-tsan -j --target comm_test sparse_dist_test pksp_test \
 cmake -B build-asan -S . -DLISI_SANITIZE=address+undefined
 cmake --build build-asan -j --target sparse_dist_test slu_test \
   lisi_reuse_test plugin_test aztec_test lisi_solver_test \
-  lisi_crossbackend_test pksp_test hymg_test
+  lisi_crossbackend_test pksp_test hymg_test failure_injection_test \
+  service_test
 ./build-asan/tests/sparse_dist_test
 ./build-asan/tests/slu_test
 ./build-asan/tests/lisi_reuse_test
@@ -176,6 +182,8 @@ cmake --build build-asan -j --target sparse_dist_test slu_test \
 ./build-asan/tests/lisi_crossbackend_test
 ./build-asan/tests/pksp_test
 ./build-asan/tests/hymg_test
+./build-asan/tests/failure_injection_test
+./build-asan/tests/service_test
 
 # ---- 4b. plugin boundary -----------------------------------------------
 # The ABI header must be self-contained: copy it ALONE into a scratch dir

@@ -6,6 +6,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <limits>
 
 #include "sparse/matmul.hpp"
 #include "sparse/partition.hpp"
@@ -35,6 +36,69 @@ StencilFn convectionDiffusionStencil(double bx, double by) {
     st.n = -ih2 + by / (2.0 * h);
     return st;
   };
+}
+
+bool matchesStencil(const CsrMatrix& block, int startRow, int gridN,
+                    const Stencil5& st, double relTol) {
+  const int n = gridN;
+  if (block.rows == 0) return true;
+  if (startRow < 0 || n < 1 || startRow + block.rows > n * n) return false;
+  constexpr int kEnd = std::numeric_limits<int>::max();
+  double worst = 0.0;    // largest deviation
+  double normInf = 0.0;  // largest row sum of |a_ij|
+  int ix = startRow % n;
+  int iy = startRow / n;
+  for (int i = 0; i < block.rows; ++i) {
+    const int row = startRow + i;
+    // The stencil's row in ascending columns, as assembleLevelRows emits it.
+    int cols[5];
+    double vals[5];
+    int m = 0;
+    const auto add = [&](int col, double val) {
+      cols[m] = col;
+      vals[m] = val;
+      ++m;
+    };
+    if (iy > 0) add(row - n, st.s);
+    if (ix > 0) add(row - 1, st.w);
+    add(row, st.c);
+    if (ix + 1 < n) add(row + 1, st.e);
+    if (iy + 1 < n) add(row + n, st.n);
+    const int b = block.rowPtr[static_cast<std::size_t>(i)];
+    const int len = block.rowPtr[static_cast<std::size_t>(i) + 1] - b;
+    const int* c = block.colIdx.data() + b;
+    const double* v = block.values.data() + b;
+    double rowSum = 0.0;
+    for (int k = 0; k < len; ++k) rowSum += std::abs(v[k]);
+    normInf = std::max(normInf, rowSum);
+    if (len == m && std::equal(c, c + len, cols)) {
+      for (int k = 0; k < m; ++k) {
+        worst = std::max(worst, std::abs(v[k] - vals[k]));
+      }
+    } else {
+      // Another pattern: merge, an entry missing on one side counting as 0.
+      int k = 0;
+      int j = 0;
+      while (k < len || j < m) {
+        const int ca = k < len ? c[k] : kEnd;
+        const int cb = j < m ? cols[j] : kEnd;
+        double d = 0.0;
+        if (ca == cb) {
+          d = v[k++] - vals[j++];
+        } else if (ca < cb) {
+          d = v[k++];
+        } else {
+          d = vals[j++];
+        }
+        worst = std::max(worst, std::abs(d));
+      }
+    }
+    if (++ix == n) {
+      ix = 0;
+      ++iy;
+    }
+  }
+  return worst <= relTol * (normInf + 1.0);
 }
 
 namespace {
@@ -232,7 +296,10 @@ class DenseLu {
 
 struct Level {
   int n = 0;  ///< grid side
-  std::unique_ptr<DistCsrMatrix> a;
+  std::shared_ptr<const DistCsrMatrix> a;
+  /// `a`, when this solver built it and may refresh its values; null for a
+  /// caller's fine operator.
+  DistCsrMatrix* own = nullptr;
   std::unique_ptr<DistCsrMatrix> p;  ///< prolongation from the next level
   std::unique_ptr<DistCsrMatrix> r;  ///< restriction to the next level
   std::vector<double> invDiag;       ///< Jacobi smoother data
@@ -271,7 +338,19 @@ struct Solver::Impl {
   // Finest-level defect/correction buffers for the float32 cycle.
   mutable std::vector<float> fineBF, fineXF;
 
-  void build(int gridN);
+  void init(Comm c, StencilFn st, const Options& opts) {
+    LISI_CHECK(c.valid(), "HyMG: invalid communicator");
+    LISI_CHECK(opts.preSmooth >= 0 && opts.postSmooth >= 0,
+               "HyMG: negative smoothing counts");
+    LISI_CHECK(opts.gamma >= 1, "HyMG: gamma must be >= 1");
+    LISI_CHECK(opts.jacobiWeight > 0 && opts.jacobiWeight <= 1.0,
+               "HyMG: jacobiWeight must be in (0, 1]");
+    comm = std::move(c);
+    options = opts;
+    stencil = std::move(st);
+  }
+  /// Build the hierarchy; `adopted`, when given, is level 0.
+  void build(int gridN, std::shared_ptr<const DistCsrMatrix> adopted);
   void refreshValues();
   void factorCoarse();
   void mirrorLowPrecision();
@@ -287,12 +366,13 @@ struct Solver::Impl {
   void coarseSolveF(std::span<const float> b, std::span<float> x) const;
 };
 
-void Solver::Impl::build(int gridN) {
+void Solver::Impl::build(int gridN,
+                         std::shared_ptr<const DistCsrMatrix> adopted) {
   LISI_CHECK(gridN >= 1, "HyMG: gridN must be >= 1");
   int n = gridN;
   // In Galerkin mode the next level's operator is the triple product of the
   // previous level's transfers; it is carried across loop iterations here.
-  std::unique_ptr<DistCsrMatrix> pendingA;
+  std::shared_ptr<DistCsrMatrix> pendingA;
   while (true) {
     Level lvl;
     lvl.n = n;
@@ -300,12 +380,21 @@ void Solver::Impl::build(int gridN) {
     const BlockRowPartition part(n * n, comm.size());
     const int begin = part.startRow(comm.rank());
     const int end = begin + part.localRows(comm.rank());
-    if (pendingA) {
-      lvl.a = std::move(pendingA);
+    if (adopted) {
+      // Every rank reads the same rowStarts, so all agree on this check.
+      LISI_CHECK(adopted->globalRows() == n * n &&
+                     adopted->globalCols() == n * n &&
+                     adopted->rowStarts() == part.boundaries(),
+                 "HyMG: fine operator is not the grid's block-row operator");
+      lvl.a = std::move(adopted);
     } else {
-      const Stencil5 st = stencil(h);
-      lvl.a = std::make_unique<DistCsrMatrix>(
-          comm, n * n, n * n, begin, assembleLevelRows(n, st, begin, end));
+      if (!pendingA) {
+        pendingA = std::make_shared<DistCsrMatrix>(
+            comm, n * n, n * n, begin,
+            assembleLevelRows(n, stencil(h), begin, end));
+      }
+      lvl.own = pendingA.get();
+      lvl.a = std::move(pendingA);
     }
     // Smoother data.
     lvl.invDiag = lvl.a->localDiagonal();
@@ -340,7 +429,7 @@ void Solver::Impl::build(int gridN) {
         comm, nc * nc, n * n, cb, assembleRestrictionRows(n, nc, cb, ce),
         fpart.boundaries());
     if (options.coarseOperator == CoarseOperator::kGalerkin) {
-      pendingA = std::make_unique<DistCsrMatrix>(
+      pendingA = std::make_shared<DistCsrMatrix>(
           lisi::sparse::galerkinProduct(*fine.r, *fine.a, *fine.p));
     }
     n = nc;
@@ -394,14 +483,17 @@ void Solver::Impl::refreshValues() {
   for (std::size_t l = 0; l < levels.size(); ++l) {
     Level& lvl = levels[l];
     const int n = lvl.n;
-    if (l == 0 || options.coarseOperator == CoarseOperator::kRediscretize) {
+    if (lvl.own == nullptr) {
+      // A caller's fine operator: its owner has refreshed the values.
+    } else if (l == 0 ||
+               options.coarseOperator == CoarseOperator::kRediscretize) {
       const double h = 1.0 / (n + 1);
       const BlockRowPartition part(n * n, comm.size());
       const int begin = part.startRow(comm.rank());
       const int end = begin + part.localRows(comm.rank());
       // assembleLevelRows emits canonical rows, so the structure matches
       // what the original constructor canonicalized; updateValues verifies.
-      lvl.a->updateValues(assembleLevelRows(n, stencil(h), begin, end));
+      lvl.own->updateValues(assembleLevelRows(n, stencil(h), begin, end));
     } else {
       // Galerkin: recompute R*A*P values.  The triple product is structurally
       // deterministic in its inputs, so the sparsity matches the stored
@@ -410,7 +502,7 @@ void Solver::Impl::refreshValues() {
       const Level& fine = levels[l - 1];
       const DistCsrMatrix prod =
           lisi::sparse::galerkinProduct(*fine.r, *fine.a, *fine.p);
-      lvl.a->updateValues(prod.globalBlock());
+      lvl.own->updateValues(prod.globalBlock());
     }
     // Smoother data: same recipes as build(), values only.  The hybrid-GS
     // smoother reads the refreshed values in place.
@@ -605,17 +697,18 @@ void Solver::Impl::cycleF(std::size_t l, std::span<const float> b,
 
 Solver::Solver(Comm comm, int gridN, StencilFn stencil, Options options)
     : impl_(new Impl) {
-  LISI_CHECK(comm.valid(), "HyMG: invalid communicator");
-  LISI_CHECK(options.preSmooth >= 0 && options.postSmooth >= 0,
-             "HyMG: negative smoothing counts");
-  LISI_CHECK(options.gamma >= 1, "HyMG: gamma must be >= 1");
-  LISI_CHECK(options.jacobiWeight > 0 && options.jacobiWeight <= 1.0,
-             "HyMG: jacobiWeight must be in (0, 1]");
-  impl_->comm = std::move(comm);
-  impl_->options = options;
-  impl_->stencil = std::move(stencil);
+  impl_->init(std::move(comm), std::move(stencil), options);
   lisi::obs::Span span("hymg.setup");
-  impl_->build(gridN);
+  impl_->build(gridN, nullptr);
+}
+
+Solver::Solver(std::shared_ptr<const DistCsrMatrix> fine, int gridN,
+               StencilFn stencil, Options options)
+    : impl_(new Impl) {
+  LISI_CHECK(fine != nullptr, "HyMG: null fine operator");
+  impl_->init(fine->comm(), std::move(stencil), options);
+  lisi::obs::Span span("hymg.setup");
+  impl_->build(gridN, std::move(fine));
 }
 
 Solver::~Solver() = default;

@@ -46,6 +46,16 @@ Stencil5 laplaceStencil(double h);
 /// corresponds to bx = 3, by = 0.
 StencilFn convectionDiffusionStencil(double bx, double by);
 
+/// Whether rows [startRow, startRow + block.rows) of an operator (a
+/// canonical block in global columns) are those rows of the gridN-by-gridN
+/// operator of stencil `st`, up to `relTol`: every |a_ij - s_ij| over the
+/// union of both patterns is at most relTol * (||block||_inf + 1).  False
+/// when a row lies outside the grid.  One pass, row by row, with no second
+/// operator built.  Purely local.
+[[nodiscard]] bool matchesStencil(const lisi::sparse::CsrMatrix& block,
+                                  int startRow, int gridN, const Stencil5& st,
+                                  double relTol);
+
 /// Smoother selection.
 enum class Smoother {
   kJacobi,    ///< weighted Jacobi (fully parallel)
@@ -88,6 +98,17 @@ class Solver {
   /// Build the hierarchy.  Collective over `comm`.
   Solver(lisi::comm::Comm comm, int gridN, StencilFn stencil,
          Options options = {});
+
+  /// Build the hierarchy on a caller's fine-level operator instead of
+  /// rediscretizing one: `fine` is the stencil's gridN-by-gridN operator
+  /// (any stored pattern with each row's diagonal), block-row partitioned
+  /// like BlockRowPartition(gridN * gridN, p) over its communicator.  The
+  /// solver shares it and never writes it: when its owner refreshes its
+  /// values in place, refreshOperator() brings the smoother data and the
+  /// coarse levels along.  `stencil` discretizes the coarse levels.
+  /// Collective over fine's communicator.
+  Solver(std::shared_ptr<const lisi::sparse::DistCsrMatrix> fine, int gridN,
+         StencilFn stencil, Options options = {});
   ~Solver();
   Solver(Solver&&) noexcept;
   Solver& operator=(Solver&&) noexcept;
@@ -120,7 +141,8 @@ class Solver {
   /// diagonals, the hybrid-GS local blocks, and the coarsest-grid dense
   /// factorization.  Use when the continuous operator's coefficients
   /// changed but the discretization (grid sizes, stencil footprint) did
-  /// not.  Collective.
+  /// not.  A caller's fine operator keeps the values its owner gave it;
+  /// everything derived from it is refreshed.  Collective.
   void refreshOperator(StencilFn stencil);
 
   /// One multigrid cycle with zero initial guess: x = MG(b).  This is the

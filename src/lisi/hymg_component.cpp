@@ -7,15 +7,14 @@
 //   mg_grid_n  (int, interior points per side; mg_grid_n^2 == global rows)
 //   mg_bx, mg_by (doubles, convection coefficients of -lap(u)+bx*u_x+by*u_y;
 //                 default 0: pure Laplacian)
-// and checks that the supplied matrix matches the rediscretized fine-level
-// operator (so a mismatched matrix is an error, not silent wrong answers).
-#include <algorithm>
-#include <array>
-#include <limits>
-
+// and checks the supplied matrix row by row against that stencil (so a
+// mismatched matrix is an error, not silent wrong answers).  HyMG then runs
+// on the port's operator itself as its fine level: no second fine level,
+// no second halo plan.
 #include "hymg/hymg.hpp"
 #include "lisi/solver_base.hpp"
 #include "sparse/ops.hpp"
+#include "sparse/partition.hpp"
 
 namespace lisi {
 namespace {
@@ -32,6 +31,23 @@ class HymgSolverPort final : public detail::SolverComponentBase {
            key == "mg_coarse_op";
   }
 
+  /// The supplied block must be this rank's share of the advertised grid
+  /// operator: HyMG's block-row partition, and every entry within
+  /// 1e-8 * (||block||_inf + 1) of the stencil's.  The verdict rides on the
+  /// port's agreement collective.
+  bool acceptsOperator(const sparse::CsrMatrix& local,
+                       int startRow) const override {
+    const int gridN = paramInt("mg_grid_n", -1);
+    if (gridN < 1) return true;  // backendSolve rejects it on every rank
+    const sparse::BlockRowPartition part(gridN * gridN, comm().size());
+    if (startRow != part.startRow(comm().rank()) ||
+        local.rows != part.localRows(comm().rank())) {
+      return false;
+    }
+    const double h = 1.0 / (gridN + 1);
+    return hymg::matchesStencil(local, startRow, gridN, stencil()(h), 1e-8);
+  }
+
   int backendSolve(const detail::SolveContext& ctx, std::span<const double> b,
                    std::span<double> x, detail::BackendStats& stats) override {
     const int gridN = paramInt("mg_grid_n", -1);
@@ -39,13 +55,11 @@ class HymgSolverPort final : public detail::SolverComponentBase {
       return static_cast<int>(ErrorCode::kInvalidArgument);
     }
     if (ctx.change == detail::OperatorChange::kSameStructure && mg_) {
-      // Same sparsity, possibly new coefficients (e.g. time-dependent
-      // convection): keep the grid hierarchy and transfer operators and
-      // refresh only operator values, smoother data, and the coarse factor.
-      mg_->refreshOperator(hymg::convectionDiffusionStencil(
-          paramDouble("mg_bx", 0.0), paramDouble("mg_by", 0.0)));
-      const int rc = validateFineLevel(ctx);
-      if (rc != 0) return rc;
+      // Same sparsity, new coefficients (e.g. time-dependent convection):
+      // the port has refreshed the fine values in place; keep the grid
+      // hierarchy and transfer operators and refresh the smoother data,
+      // the coarse levels and the coarse factor.
+      mg_->refreshOperator(stencil());
     } else if (ctx.change != detail::OperatorChange::kSameOperator || !mg_) {
       hymg::Options opts;
       opts.preSmooth = paramInt("mg_pre_smooth", 2);
@@ -62,12 +76,8 @@ class HymgSolverPort final : public detail::SolverComponentBase {
       } else if (coarseOp != "rediscretize") {
         return static_cast<int>(ErrorCode::kInvalidArgument);
       }
-      mg_.emplace(*ctx.comm, gridN,
-                  hymg::convectionDiffusionStencil(paramDouble("mg_bx", 0.0),
-                                                   paramDouble("mg_by", 0.0)),
-                  opts);
-      const int rc = validateFineLevel(ctx);
-      if (rc != 0) return rc;
+      mg_.reset();  // let go of the previous operator first
+      mg_.emplace(ctx.matrix, gridN, stencil(), opts);
     }
     // Mixed precision: float32 hierarchy/smoother/coarse-LU cycle inside a
     // float64 defect-correction outer loop (cheap no-op when unchanged;
@@ -77,10 +87,9 @@ class HymgSolverPort final : public detail::SolverComponentBase {
         mg_->solve(b, x, paramDouble("tol", 1e-6), paramInt("maxits", 100));
     stats.iterations = info.cycles;
     stats.converged = info.converged;
-    // True residual against the application's matrix.  When the fine level
-    // IS that matrix (identical blocks on every rank), HyMG's own final
-    // residual is bitwise this one: same blocks, same SpMV, same norm.
-    if (fineIsOperator_ && (info.cycles > 0 || info.converged)) {
+    // The fine level is the application's matrix, so HyMG's final residual
+    // is the true one.  Without a cycle (maxits < 1) HyMG computed none.
+    if (info.cycles > 0 || info.converged) {
       stats.residualNorm = info.residualNorm;
     } else {
       std::vector<double> r(b.size());
@@ -92,39 +101,12 @@ class HymgSolverPort final : public detail::SolverComponentBase {
   }
 
  private:
-  /// Guard against a mismatched operator: the rediscretized fine level must
-  /// agree with the matrix the application supplied.  One two-lane
-  /// allreduce agrees on the largest difference and on whether every
-  /// rank's blocks are identical.  Collective.
-  int validateFineLevel(const detail::SolveContext& ctx) {
-    const sparse::DistCsrMatrix& app = *ctx.matrix;
-    const sparse::DistCsrMatrix& fine = mg_->fineMatrix();
-    const sparse::OwnedBlockView av = app.ownedBlockView();
-    const bool identical =
-        app.sameStructure(fine) &&
-        std::equal(av.values, av.values + av.nnz(),
-                   fine.ownedBlockView().values);
-    std::array<double, 2> local{0.0, identical ? 0.0 : 1.0};
-    if (!identical) {
-      // Cold path: compare in global columns (the numberings may differ).
-      local[0] = app.localRows() == fine.localRows()
-                     ? sparse::maxAbsDiff(app.globalBlock(), fine.globalBlock())
-                     : std::numeric_limits<double>::infinity();
-    }
-    std::array<double, 2> global{};
-    ctx.comm->allreduce(std::span<const double>(local),
-                        std::span<double>(global), comm::ReduceOp::kMax);
-    fineIsOperator_ = global[1] == 0.0;
-    if (global[0] > 0.0 &&
-        global[0] > 1e-8 * (sparse::infNorm(app.globalBlock()) + 1.0)) {
-      mg_.reset();
-      return static_cast<int>(ErrorCode::kInvalidArgument);
-    }
-    return 0;
+  [[nodiscard]] hymg::StencilFn stencil() const {
+    return hymg::convectionDiffusionStencil(paramDouble("mg_bx", 0.0),
+                                            paramDouble("mg_by", 0.0));
   }
 
   std::optional<hymg::Solver> mg_;
-  bool fineIsOperator_ = false;  ///< fine level == the application's matrix
 };
 
 class HymgSolverComponent final : public cca::Component {

@@ -1,7 +1,6 @@
 #include "lisi/solver_base.hpp"
 
 #include <charconv>
-#include <cstring>
 #include <sstream>
 
 #include "obs/obs.hpp"
@@ -15,23 +14,23 @@ namespace {
 
 int code(ErrorCode c) { return static_cast<int>(c); }
 
-/// FNV-1a over the canonical local structure plus the block's start row.
-/// Canonicalization first makes the fingerprint insensitive to input entry
-/// order and duplicate-triplet order (FEM assembly), so re-feeding the same
-/// pattern can never be defeated by ordering.
-std::uint64_t structureHash(const sparse::CsrMatrix& a, int startRow) {
+/// The tuner's cache key for one rank's block: a word-wise FNV-1a (one
+/// multiply per index) over its shape, row pointers and global columns.
+/// Only a cache key: whether two operators share a pattern is decided by
+/// the exact DistCsrMatrix::matchBlock, never by this hash.
+std::uint64_t tunerFingerprint(const sparse::DistCsrMatrix& a) {
   std::uint64_t h = 1469598103934665603ull;
-  const auto mix = [&h](std::uint64_t v) {
-    for (int s = 0; s < 64; s += 8) {
-      h ^= (v >> s) & 0xffull;
-      h *= 1099511628211ull;
-    }
-  };
-  mix(static_cast<std::uint64_t>(a.rows));
-  mix(static_cast<std::uint64_t>(a.cols));
-  mix(static_cast<std::uint64_t>(startRow));
-  for (const int p : a.rowPtr) mix(static_cast<std::uint64_t>(p));
-  for (const int c : a.colIdx) mix(static_cast<std::uint64_t>(c));
+  const auto mix = [&h](std::uint64_t v) { h = (h ^ v) * 1099511628211ull; };
+  mix(static_cast<std::uint64_t>(a.localRows()));
+  mix(static_cast<std::uint64_t>(a.globalCols()));
+  mix(static_cast<std::uint64_t>(a.startRow()));
+  const sparse::OwnedBlockView v = a.ownedBlockView();
+  for (int i = 0; i <= v.rows; ++i) {
+    mix(static_cast<std::uint64_t>(v.rowPtr[i]));
+  }
+  for (int k = 0; k < v.nnz(); ++k) {
+    mix(static_cast<std::uint64_t>(a.globalCol(v.colIdx[k])));
+  }
   return h;
 }
 
@@ -250,7 +249,7 @@ int SolverComponentBase::setupMatrixImpl(RArray<const double> values,
     local.check();
     // Canonical form (sorted columns, merged duplicates) is what every
     // consumer wants anyway (DistCsrMatrix canonicalizes on construction),
-    // and it is what makes the structural fingerprint and the value-only
+    // and it is what makes the exact pattern check and the value-only
     // update path independent of input entry order.
     local.canonicalize();
     localA_ = std::move(local);
@@ -323,48 +322,8 @@ int SolverComponentBase::solve(RArray<double> solution, RArray<double> status,
     } else {
       WallTimer setup;
       if (matrixDirty_ || !distA_) {
-        obs::Span span("lisi.setup");
-        // Structural fingerprint of the freshly adapted canonical block.
-        // One two-lane min-allreduce makes the decision collective: the
-        // pattern is "same" only if EVERY rank kept its local pattern, and
-        // the operator is unchanged only if every rank's values are also
-        // bitwise those the operator holds, so all ranks take the same
-        // branch below.
-        const std::uint64_t fp = structureHash(localA_, startRow_);
-        int same[2] = {(distA_ && fp == structFingerprint_) ? 1 : 0, 0};
-        if (same[0] == 1) {
-          const sparse::OwnedBlockView held = distA_->ownedBlockView();
-          const std::size_t n = localA_.values.size();
-          same[1] = n == static_cast<std::size_t>(held.nnz()) &&
-                    (n == 0 || std::memcmp(localA_.values.data(), held.values,
-                                           n * sizeof(double)) == 0);
-        }
-        comm_.allreduce(std::span<const int>(same), std::span<int>(same),
-                        comm::ReduceOp::kMin);
-        const bool samePattern = same[0] == 1;
-        if (samePattern && same[1] == 1) {
-          // Bitwise the operator already held: kSameOperator, no refresh.
-          localA_ = {};
-        } else if (samePattern) {
-          // Value-only refresh: halo plan, ghost column map, and scratch
-          // all survive; no communication, no allocation.  The adapted
-          // block has served its purpose.
-          distA_->updateValues(localA_);
-          localA_ = {};
-          ++valueEpoch_;
-        } else {
-          // Collective: every rank rebuilds the distributed operator
-          // together.  The old operator goes first (a backend view may
-          // still hold it), and the adapted block moves in: one copy.
-          distA_.reset();
-          distA_ = std::make_shared<sparse::DistCsrMatrix>(
-              comm_, comm_.allreduceValue(localRows_, comm::ReduceOp::kSum),
-              globalCols_, startRow_, std::move(localA_));
-          structFingerprint_ = fp;
-          ++structEpoch_;
-          ++valueEpoch_;
-        }
-        matrixDirty_ = false;
+        const int rc = agreeOnOperator();
+        if (rc != code(ErrorCode::kOk)) return rc;
       }
       setupSeconds += setup.seconds();
       ctx.matrix = distA_;
@@ -379,25 +338,19 @@ int SolverComponentBase::solve(RArray<double> solution, RArray<double> status,
       }
 
       // Mixed-precision mode: parameter beats environment (LISI_PRECISION),
-      // default double.  "auto" weighs the global operator size against the
-      // bandwidth-win threshold with one allreduce — collective, so every
-      // rank resolves the same mode.
-      {
-        prec::Mode pm = prec::modeFromString(paramString("precision", ""),
-                                             prec::modeFromEnv());
-        if (pm == prec::Mode::kAuto) {
-          const long long globalNnz = comm_.allreduceValue(
-              static_cast<long long>(distA_->localNnz()),
-              comm::ReduceOp::kSum);
-          pm = prec::resolveAuto(pm, globalNnz);
-        }
-        ctx.precision = pm;
-      }
+      // default double.  "auto" weighs the agreed global nonzeros against
+      // the bandwidth-win threshold, so every rank resolves the same mode.
+      ctx.precision = prec::resolveAuto(
+          prec::modeFromString(paramString("precision", ""),
+                               prec::modeFromEnv()),
+          globalNnz_);
 
-      // Structure-fingerprint-keyed autotuning (DESIGN.md).  Replay is
-      // free: once this structure epoch has been tuned under the current
-      // mode, later solves skip even the cache lookup — no communication,
-      // no locks, just the already-pinned schedule.
+      // Structure-keyed autotuning (DESIGN.md).  Replay is free: once this
+      // structure epoch has been tuned under the current mode, later solves
+      // skip even the cache lookup — no communication, no locks, just the
+      // already-pinned schedule.  The kAuto size gate reads the agreed
+      // nonzeros, so the key and its allreduce are paid only where the
+      // tuner will look the key up.
       const tune::Mode tuneMode =
           tune::modeFromString(paramString("tune", ""), tune::modeFromEnv());
       if (tuneMode != tune::Mode::kOff) {
@@ -407,17 +360,14 @@ int SolverComponentBase::solve(RArray<double> solution, RArray<double> status,
           tune::TuneInput in;
           in.comm = comm_;
           in.mode = tuneMode;
-          // One fused two-lane allreduce agrees on the operator key and on
-          // its global weight (the kAuto size gate).
-          const std::uint64_t lanes[2] = {
-              structFingerprint_,
-              static_cast<std::uint64_t>(distA_->localNnz())};
-          std::uint64_t sums[2] = {0, 0};
-          comm_.allreduce(std::span<const std::uint64_t>(lanes),
-                          std::span<std::uint64_t>(sums),
-                          comm::ReduceOp::kSum);
-          in.key = {sums[0], comm_.size()};
-          in.globalNnz = static_cast<long long>(sums[1]);
+          in.globalNnz = globalNnz_;
+          if (!tune::autoSkips(tuneMode, globalNnz_)) {
+            std::uint64_t key = tunerFingerprint(*distA_);
+            comm_.allreduce(std::span<const std::uint64_t>(&key, 1),
+                            std::span<std::uint64_t>(&key, 1),
+                            comm::ReduceOp::kSum);
+            in.key = {key, comm_.size()};
+          }
           in.structureChanged = tunedStructEpoch_ != 0;
           in.retunesSoFar = tuneRetunes_;
           in.retuneBudget = paramInt("tune_retune_budget", 4);
@@ -482,6 +432,74 @@ int SolverComponentBase::solve(RArray<double> solution, RArray<double> status,
   }
   return last.converged ? code(ErrorCode::kOk)
                         : code(ErrorCode::kNumericFailure);
+}
+
+int SolverComponentBase::agreeOnOperator() {
+  obs::Span span("lisi.setup");
+  // Local verdicts on the freshly adapted block, from one pass over it: does
+  // it keep the held operator's pattern (exactly, entry by entry) and its
+  // values (bitwise), is every value finite, and can the backend use it.
+  sparse::BlockMatch match;
+  if (distA_ && distA_->startRow() == startRow_) {
+    match = distA_->matchBlock(localA_);
+  } else {
+    match.finite = sparse::allFinite(localA_.values);
+  }
+  const bool accepted = match.finite && acceptsOperator(localA_, startRow_);
+  // One sum-allreduce agrees on every verdict, on the nonzeros and on the
+  // row partition (each rank fills its own extent slots), so all ranks
+  // take the same branch below and a rebuild needs no further collective.
+  enum Lane { kNewPattern, kNewValues, kNnz, kNonFinite, kRejected, kExtents };
+  const int p = comm_.size();
+  std::vector<long long> lanes(kExtents + 2 * static_cast<std::size_t>(p), 0);
+  lanes[kNewPattern] = match.pattern ? 0 : 1;
+  lanes[kNewValues] = match.values ? 0 : 1;
+  lanes[kNnz] = localA_.nnz();
+  lanes[kNonFinite] = match.finite ? 0 : 1;
+  lanes[kRejected] = accepted ? 0 : 1;
+  const auto extent = [&lanes](int r) {
+    return lanes.begin() + kExtents + 2 * static_cast<std::ptrdiff_t>(r);
+  };
+  extent(comm_.rank())[0] = startRow_;
+  extent(comm_.rank())[1] = localA_.rows;
+  comm_.allreduce(std::span<const long long>(lanes),
+                  std::span<long long>(lanes), comm::ReduceOp::kSum);
+  std::vector<int> rowStarts(static_cast<std::size_t>(p) + 1, 0);
+  bool tiled = true;  // the ranks' rows tile [0, globalRows) in rank order
+  for (int r = 0; r < p; ++r) {
+    const auto ru = static_cast<std::size_t>(r);
+    tiled = tiled && extent(r)[0] == rowStarts[ru];
+    rowStarts[ru + 1] = rowStarts[ru] + static_cast<int>(extent(r)[1]);
+  }
+  if (lanes[kNonFinite] > 0 || lanes[kRejected] > 0 || !tiled) {
+    // NaN/Inf, an operator the backend cannot use, or rows that do not
+    // tile, on some rank: every rank rejects the block and keeps what it
+    // held.
+    return code(ErrorCode::kInvalidArgument);
+  }
+  globalNnz_ = lanes[kNnz];
+  if (lanes[kNewPattern] == 0 && lanes[kNewValues] == 0) {
+    // Bitwise the operator already held: kSameOperator, no refresh.
+    localA_ = {};
+  } else if (lanes[kNewPattern] == 0) {
+    // Value-only refresh: halo plan, ghost column map, and scratch all
+    // survive; no communication, no allocation.  The adapted block has
+    // served its purpose.
+    distA_->updateValues(localA_);
+    localA_ = {};
+    ++valueEpoch_;
+  } else {
+    // Every rank rebuilds the distributed operator together, on the agreed
+    // partition.  The old operator goes first (a backend view may still
+    // hold it), and the adapted block moves in: one copy.
+    distA_.reset();
+    distA_ = std::make_shared<sparse::DistCsrMatrix>(
+        comm_, std::move(rowStarts), globalCols_, std::move(localA_));
+    ++structEpoch_;
+    ++valueEpoch_;
+  }
+  matrixDirty_ = false;
+  return code(ErrorCode::kOk);
 }
 
 int SolverComponentBase::backendSolveMulti(const SolveContext& ctx,

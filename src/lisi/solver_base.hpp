@@ -32,9 +32,10 @@ namespace lisi::detail {
 /// How the operator handed to this backendSolve relates to the one handed
 /// to the previous backendSolve on the same component.  The three-state
 /// contract every mature library ships (PETSc SAME_NONZERO_PATTERN, SuperLU
-/// SamePattern); solver_base detects the state automatically by
-/// fingerprinting the adapted local CSR structure, so applications just
-/// call setupMatrix again (DESIGN.md "Operator change contract").
+/// SamePattern); solver_base detects the state automatically by comparing
+/// the adapted local CSR block with the held operator entry by entry, so
+/// applications just call setupMatrix again (DESIGN.md "Operator change
+/// contract").
 enum class OperatorChange {
   /// Identical operator object, untouched since the last backendSolve:
   /// factorizations, hierarchies, and preconditioners stay valid as-is.
@@ -62,7 +63,7 @@ struct SolveContext {
   int globalRows = 0;
   int startRow = 0;
   /// Operator relation to the previous backendSolve; identical on every
-  /// rank (the structural fingerprint is agreed by allreduce).
+  /// rank (each rank's comparison is agreed by allreduce).
   OperatorChange change = OperatorChange::kNewStructure;
   /// Resolved precision mode for this solve (never kAuto: solver_base
   /// resolves "auto" against the global nnz before calling the backend).
@@ -145,6 +146,19 @@ class SolverComponentBase : public SparseSolver {
   /// Whether this backend can run without an assembled matrix.
   [[nodiscard]] virtual bool supportsMatrixFree() const { return false; }
 
+  /// Whether this backend can solve with this rank's block of a new
+  /// operator: `local` is the adapted block (canonical, global columns) of
+  /// rows [startRow, startRow + local.rows).  Purely local; called on every
+  /// rank before the set-up's agreement collective, whose lanes carry the
+  /// verdict, so one rank's rejection makes the solve return
+  /// kInvalidArgument on every rank.  Default accepts.
+  [[nodiscard]] virtual bool acceptsOperator(const sparse::CsrMatrix& local,
+                                             int startRow) const {
+    (void)local;
+    (void)startRow;
+    return true;
+  }
+
   /// Reject unsupported parameter keys/values.  Called by the set methods
   /// after canonicalization; default accepts the common key set.
   [[nodiscard]] virtual bool acceptsParam(const std::string& key) const;
@@ -171,6 +185,10 @@ class SolverComponentBase : public SparseSolver {
   int setupMatrixImpl(RArray<const double> values, RArray<const int> rows,
                       RArray<const int> columns, SparseStruct dataStruct,
                       int rowsLength, int nnz, int offset);
+  /// Agree on the freshly adapted block with one sum-allreduce and build,
+  /// refresh or keep distA_ accordingly.  Collective; on a rejected
+  /// operator returns kInvalidArgument on every rank with nothing changed.
+  int agreeOnOperator();
   int storeParam(const std::string& key, const std::string& value);
   /// Common keys every backend understands.
   [[nodiscard]] static bool isCommonParam(const std::string& key);
@@ -192,8 +210,8 @@ class SolverComponentBase : public SparseSolver {
   bool haveMatrix_ = false;
   bool matrixDirty_ = false;  ///< local block changed since distA_ was built
   std::shared_ptr<sparse::DistCsrMatrix> distA_;
-  /// Structural epoch: bumped when the sparsity pattern changes (fingerprint
-  /// mismatch) and distA_ is rebuilt from scratch.
+  /// Structural epoch: bumped when the sparsity pattern changes (on any
+  /// rank) and distA_ is rebuilt from scratch.
   std::uint64_t structEpoch_ = 0;
   /// Value epoch: bumped on every operator content change (rebuild or
   /// in-place refresh).  Distinct from structEpoch_ so a same-pattern
@@ -201,9 +219,8 @@ class SolverComponentBase : public SparseSolver {
   std::uint64_t valueEpoch_ = 0;
   std::uint64_t lastSolvedStructEpoch_ = 0;
   std::uint64_t lastSolvedValueEpoch_ = 0;
-  /// FNV-1a hash of the canonical local structure (rows, cols, startRow,
-  /// rowPtr, colIdx) distA_ was last built from.
-  std::uint64_t structFingerprint_ = 0;
+  /// Global nonzeros of distA_, agreed with it.
+  long long globalNnz_ = 0;
   /// Which operator kind the last successful solve used; switching between
   /// assembled and matrix-free always reports kNewStructure.
   enum class OperatorKind { kNone, kAssembled, kMatrixFree };

@@ -25,7 +25,8 @@ std::uint64_t nowNs() {
           .count());
 }
 
-/// Time zero for trace timestamps, anchored at first use.
+/// Time zero for trace timestamps, anchored when the first thread stream
+/// is created.
 std::uint64_t processStartNs() {
   static const std::uint64_t t0 = nowNs();
   return t0;
@@ -70,6 +71,10 @@ struct ThreadStream {
     spans.reserve(64);
     counters.reserve(64);
     ring.reserve(kRingCapacity);
+    // Anchor trace time zero before this thread's first span starts:
+    // anchored at export instead, it lies after every event, and the
+    // unsigned start offsets wrap.
+    (void)processStartNs();
   }
 
   int rank = -1;

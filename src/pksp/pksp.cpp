@@ -232,8 +232,12 @@ int KSPSetPCType(KSP ksp, PkspPcType type) {
     case PKSP_PC_SOR:
     case PKSP_PC_ILU0:
     case PKSP_PC_BJACOBI:
-      ksp->pcType = type;
-      ksp->pcStale = true;
+      // Re-selecting the current type keeps the built preconditioner: the
+      // LISI port re-applies its whole parameter table before every solve.
+      if (ksp->pcType != type) {
+        ksp->pcType = type;
+        ksp->pcStale = true;
+      }
       return PKSP_SUCCESS;
   }
   return PKSP_ERR_ARG;
@@ -256,9 +260,11 @@ int KSPSetRestart(KSP ksp, int restart) {
 int KSPSetSorOptions(KSP ksp, double omega, int sweeps) {
   if (guard(ksp) != PKSP_SUCCESS) return PKSP_ERR_ARG;
   if (omega <= 0.0 || omega >= 2.0 || sweeps < 1) return PKSP_ERR_ARG;
-  ksp->sorOmega = omega;
-  ksp->sorSweeps = sweeps;
-  ksp->pcStale = true;
+  if (ksp->sorOmega != omega || ksp->sorSweeps != sweeps) {
+    ksp->sorOmega = omega;
+    ksp->sorSweeps = sweeps;
+    ksp->pcStale = true;
+  }
   return PKSP_SUCCESS;
 }
 

@@ -2,6 +2,8 @@
 
 #include <algorithm>
 #include <atomic>
+#include <cstdint>
+#include <cstring>
 #include <cmath>
 #include <numeric>
 #include <type_traits>
@@ -36,15 +38,86 @@ long long valueUpdates() {
   return gValueUpdates.load(std::memory_order_relaxed);
 }
 
-void DistCsrMatrix::updateValues(const CsrMatrix& local) {
-  LISI_CHECK(local.rows == local_.rows && local.cols == globalCols_,
-             "updateValues: dimensions differ from the built operator");
-  bool same = local.rowPtr == local_.rowPtr &&
-              local.colIdx.size() == local_.colIdx.size();
-  for (std::size_t k = 0; same && k < local_.colIdx.size(); ++k) {
-    same = globalCol(local_.colIdx[k]) == local.colIdx[k];
+namespace {
+
+// A value is NaN or Inf exactly when its exponent field is all ones.  Adding
+// one unit of the field to the masked field carries into the sign bit only
+// then, so OR-ing that sum over the values flags any non-finite one with
+// 64-bit integer operations alone, which vectorize.
+constexpr std::uint64_t kExpMask = 0x7ff0000000000000ull;
+constexpr std::uint64_t kExpUnit = 0x0010000000000000ull;
+
+std::uint64_t bitsOf(const double& x) {
+  std::uint64_t v;
+  std::memcpy(&v, &x, sizeof v);
+  return v;
+}
+
+}  // namespace
+
+bool allFinite(std::span<const double> values) {
+  std::uint64_t carry = 0;
+  for (const double& x : values) carry |= (bitsOf(x) & kExpMask) + kExpUnit;
+  return (carry >> 63) == 0;
+}
+
+template <bool kValues>
+BlockMatch DistCsrMatrix::compareBlock(const CsrMatrix& local) const {
+  BlockMatch m;
+  m.pattern = local.rows == local_.rows && local.cols == globalCols_ &&
+              local.rowPtr == local_.rowPtr &&
+              local.colIdx.size() == local_.colIdx.size() &&
+              local.values.size() == local_.values.size();
+  if (!m.pattern) {
+    if constexpr (kValues) m.finite = allFinite(local.values);
+    return m;
   }
-  LISI_CHECK(same,
+  // Owned entries (local column below ownedCols_) map to global columns by
+  // a fixed offset, so one branch-free pass, which the compiler vectorizes,
+  // checks them and, when asked, compares the values bitwise and reads
+  // their exponent fields.
+  const std::size_t n = local_.colIdx.size();
+  const int* held = local_.colIdx.data();
+  const int* given = local.colIdx.data();
+  const int own = ownedCols_;
+  const int base = colBase_;
+  unsigned badCols = 0;
+  std::uint64_t diff = 0;   // OR of the values' bitwise differences
+  std::uint64_t carry = 0;  // see allFinite
+  for (std::size_t k = 0; k < n; ++k) {
+    const int c = held[k];
+    badCols |= static_cast<unsigned>(c < own) &
+               static_cast<unsigned>(c + base != given[k]);
+    if constexpr (kValues) {
+      const std::uint64_t v = bitsOf(local.values[k]);
+      diff |= v ^ bitsOf(local_.values[k]);
+      carry |= (v & kExpMask) + kExpUnit;
+    }
+  }
+  // Ghost entries sit only in boundary rows: map them through the ghost
+  // list.
+  for (const Run& run : boundaryRows_) {
+    for (int k = local_.rowPtr[static_cast<std::size_t>(run.begin)];
+         k < local_.rowPtr[static_cast<std::size_t>(run.end)]; ++k) {
+      const int c = held[k];
+      if (c >= own) {
+        badCols |= static_cast<unsigned>(
+            ghostCols_[static_cast<std::size_t>(c - own)] != given[k]);
+      }
+    }
+  }
+  m.pattern = badCols == 0;
+  m.values = kValues && m.pattern && diff == 0;
+  m.finite = (carry >> 63) == 0;
+  return m;
+}
+
+BlockMatch DistCsrMatrix::matchBlock(const CsrMatrix& local) const {
+  return compareBlock<true>(local);
+}
+
+void DistCsrMatrix::updateValues(const CsrMatrix& local) {
+  LISI_CHECK(compareBlock<false>(local).pattern,
              "updateValues: sparsity structure differs from the built "
              "operator (callers must pass the canonical same-pattern block)");
   // The plan holds no values of its own, so this is the only copy.
@@ -52,13 +125,6 @@ void DistCsrMatrix::updateValues(const CsrMatrix& local) {
   floatMirrorFresh_ = false;  // spmvFloat re-mirrors on next use
   gValueUpdates.fetch_add(1, std::memory_order_relaxed);
   obs::count("sparse.value_updates");
-}
-
-bool DistCsrMatrix::sameStructure(const DistCsrMatrix& o) const {
-  return globalRows_ == o.globalRows_ && globalCols_ == o.globalCols_ &&
-         rowStarts_ == o.rowStarts_ && colStarts_ == o.colStarts_ &&
-         ghostCols_ == o.ghostCols_ && local_.rowPtr == o.local_.rowPtr &&
-         local_.colIdx == o.local_.colIdx;
 }
 
 int OwnedBlockView::ownedNnz() const {
@@ -88,42 +154,73 @@ bool OwnedBlockView::samePattern(const OwnedBlockView& o) const {
          std::equal(colIdx, colIdx + nnz(), o.colIdx);
 }
 
-DistCsrMatrix::DistCsrMatrix(comm::Comm comm, int globalRows, int globalCols,
-                             int startRow, CsrMatrix local,
-                             std::vector<int> colStarts)
-    : comm_(std::move(comm)),
-      globalRows_(globalRows),
-      globalCols_(globalCols),
-      local_(std::move(local)),
-      colStarts_(std::move(colStarts)) {
-  LISI_CHECK(comm_.valid(), "DistCsrMatrix: invalid communicator");
-  LISI_CHECK(globalRows_ >= 0 && globalCols_ >= 0,
-             "DistCsrMatrix: negative dimensions");
-  LISI_CHECK(local_.cols == globalCols_,
-             "DistCsrMatrix: local block must carry global column indices");
-  local_.check();
-  local_.canonicalize();
+namespace {
 
-  // Establish and validate the global row ownership map.
+/// Row ownership boundaries from every rank's extent: one allgatherv, and
+/// the check that the ranks tile [0, globalRows) contiguously.
+std::vector<int> gatherRowStarts(const comm::Comm& comm, int globalRows,
+                                 int startRow, int rows) {
+  LISI_CHECK(comm.valid(), "DistCsrMatrix: invalid communicator");
   struct Extent {
     int start;
     int count;
   };
-  const Extent mine{startRow, local_.rows};
+  const Extent mine{startRow, rows};
   std::vector<Extent> all =
-      comm_.allgatherv(std::span<const Extent>(&mine, 1), nullptr);
-  const int p = comm_.size();
-  rowStarts_.resize(static_cast<std::size_t>(p) + 1);
+      comm.allgatherv(std::span<const Extent>(&mine, 1), nullptr);
+  const int p = comm.size();
+  std::vector<int> rowStarts(static_cast<std::size_t>(p) + 1);
   int pos = 0;
   for (int r = 0; r < p; ++r) {
     LISI_CHECK(all[static_cast<std::size_t>(r)].start == pos,
                "DistCsrMatrix: ranks do not tile the global rows contiguously");
-    rowStarts_[static_cast<std::size_t>(r)] = pos;
+    rowStarts[static_cast<std::size_t>(r)] = pos;
     pos += all[static_cast<std::size_t>(r)].count;
   }
-  rowStarts_[static_cast<std::size_t>(p)] = pos;
-  LISI_CHECK(pos == globalRows_,
+  rowStarts[static_cast<std::size_t>(p)] = pos;
+  LISI_CHECK(pos == globalRows,
              "DistCsrMatrix: local row counts do not sum to globalRows");
+  return rowStarts;
+}
+
+}  // namespace
+
+DistCsrMatrix::DistCsrMatrix(comm::Comm comm, int globalRows, int globalCols,
+                             int startRow, CsrMatrix local,
+                             std::vector<int> colStarts)
+    // local.rows is read whichever argument is built first: a moved-from
+    // block keeps its row count.
+    : DistCsrMatrix(comm,
+                    gatherRowStarts(comm, globalRows, startRow, local.rows),
+                    globalCols, std::move(local), std::move(colStarts)) {}
+
+DistCsrMatrix::DistCsrMatrix(comm::Comm comm, std::vector<int> rowStarts,
+                             int globalCols, CsrMatrix local,
+                             std::vector<int> colStarts)
+    : comm_(std::move(comm)),
+      globalCols_(globalCols),
+      local_(std::move(local)),
+      rowStarts_(std::move(rowStarts)),
+      colStarts_(std::move(colStarts)) {
+  LISI_CHECK(comm_.valid(), "DistCsrMatrix: invalid communicator");
+  const int p = comm_.size();
+  const auto rank = static_cast<std::size_t>(comm_.rank());
+  LISI_CHECK(static_cast<int>(rowStarts_.size()) == p + 1 &&
+                 rowStarts_.front() == 0,
+             "DistCsrMatrix: bad rowStarts boundaries");
+  for (int r = 0; r < p; ++r) {
+    LISI_CHECK(rowStarts_[static_cast<std::size_t>(r)] <=
+                   rowStarts_[static_cast<std::size_t>(r) + 1],
+               "DistCsrMatrix: rowStarts not monotone");
+  }
+  LISI_CHECK(rowStarts_[rank + 1] - rowStarts_[rank] == local_.rows,
+             "DistCsrMatrix: local block does not match its rowStarts range");
+  globalRows_ = rowStarts_.back();
+  LISI_CHECK(globalCols_ >= 0, "DistCsrMatrix: negative dimensions");
+  LISI_CHECK(local_.cols == globalCols_,
+             "DistCsrMatrix: local block must carry global column indices");
+  local_.check();
+  local_.canonicalize();
 
   if (colStarts_.empty()) {
     // Square operators distribute x like the rows.
@@ -141,7 +238,7 @@ DistCsrMatrix::DistCsrMatrix(comm::Comm comm, int globalRows, int globalCols,
   // Without an input-vector partition the block keeps its global columns
   // (every column counts as owned, so globalCol is the identity).
   ownedCols_ = globalCols_;
-  if (!colStarts_.empty()) buildHaloPlan();
+  if (!colStarts_.empty()) buildLocalPlan();
 }
 
 int DistCsrMatrix::localCols() const {
@@ -249,10 +346,7 @@ DistCsrMatrix DistCsrMatrix::scatterFromRoot(comm::Comm comm,
                        std::move(local));
 }
 
-void DistCsrMatrix::buildHaloPlan() {
-  gHaloPlanBuilds.fetch_add(1, std::memory_order_relaxed);
-  obs::count("sparse.halo_plan_builds");
-  obs::Span span("sparse.halo_plan_build");
+void DistCsrMatrix::buildLocalPlan() {
   const int p = comm_.size();
   const int rank = comm_.rank();
   const int myStart = colStarts_[static_cast<std::size_t>(rank)];
@@ -282,67 +376,29 @@ void DistCsrMatrix::buildHaloPlan() {
   ownedCols_ = nlocal;
   local_.cols = nlocal + static_cast<int>(ghostCols_.size());
 
-  // Group ghost columns by owner (ghostCols_ is sorted, so owners ascend).
-  std::vector<std::vector<int>> needFrom(static_cast<std::size_t>(p));
-  {
-    // Owner lookup over the (possibly uneven) colStarts_ boundaries.  Empty
-    // ranges make upper_bound ambiguous, so scan to the owning non-empty one.
-    for (int c : ghostCols_) {
-      const auto it =
-          std::upper_bound(colStarts_.begin(), colStarts_.end(), c);
-      int owner = static_cast<int>(it - colStarts_.begin()) - 1;
-      while (owner + 1 < p && colStarts_[static_cast<std::size_t>(owner)] ==
-                                  colStarts_[static_cast<std::size_t>(owner) + 1]) {
-        ++owner;
-      }
-      LISI_ASSERT(owner >= 0 && owner < p && owner != rank);
-      needFrom[static_cast<std::size_t>(owner)].push_back(c);
-    }
-  }
+  // Group ghost columns by owner (ghostCols_ is sorted, so owners ascend
+  // and each owner's ghosts are one slice of it).  Owner lookup over the
+  // (possibly uneven) colStarts_ boundaries: empty ranges make upper_bound
+  // ambiguous, so scan to the owning non-empty one.
   recvFromRanks_.clear();
   recvCounts_.clear();
   recvOffsets_.clear();
-  int offset = 0;
-  for (int r = 0; r < p; ++r) {
-    if (needFrom[static_cast<std::size_t>(r)].empty()) continue;
-    recvFromRanks_.push_back(r);
-    recvCounts_.push_back(
-        static_cast<int>(needFrom[static_cast<std::size_t>(r)].size()));
-    recvOffsets_.push_back(offset);
-    offset += recvCounts_.back();
-  }
-
-  // Tell every rank how many of its entries we need, then exchange the
-  // index lists so senders know what to ship each spmv.
-  std::vector<int> requestCounts(static_cast<std::size_t>(p), 0);
-  for (int r = 0; r < p; ++r) {
-    requestCounts[static_cast<std::size_t>(r)] =
-        static_cast<int>(needFrom[static_cast<std::size_t>(r)].size());
-  }
-  std::vector<int> allCounts =
-      comm_.allgatherv(std::span<const int>(requestCounts), nullptr);
-  // allCounts[q*p + r] = how many entries rank q needs from rank r.
-  sendToRanks_.clear();
-  sendIdx_.clear();
-  sendOffsets_.assign(1, 0);
-  for (const int r : recvFromRanks_) {
-    comm_.send(std::span<const int>(needFrom[static_cast<std::size_t>(r)]), r,
-               kPlanTag);
-  }
-  for (int q = 0; q < p; ++q) {
-    if (q == rank) continue;
-    const int needed =
-        allCounts[static_cast<std::size_t>(q) * static_cast<std::size_t>(p) +
-                  static_cast<std::size_t>(rank)];
-    if (needed == 0) continue;
-    std::vector<int> globalIdx = comm_.recvVector<int>(q, kPlanTag);
-    LISI_ASSERT(static_cast<int>(globalIdx.size()) == needed);
-    for (const int g : globalIdx) {
-      LISI_ASSERT(g >= myStart && g < myEnd);
-      sendIdx_.push_back(g - myStart);
+  for (std::size_t s = 0; s < ghostCols_.size(); ++s) {
+    const int c = ghostCols_[s];
+    const auto it = std::upper_bound(colStarts_.begin(), colStarts_.end(), c);
+    int owner = static_cast<int>(it - colStarts_.begin()) - 1;
+    while (owner + 1 < p &&
+           colStarts_[static_cast<std::size_t>(owner)] ==
+               colStarts_[static_cast<std::size_t>(owner) + 1]) {
+      ++owner;
     }
-    sendToRanks_.push_back(q);
-    sendOffsets_.push_back(static_cast<int>(sendIdx_.size()));
+    LISI_ASSERT(owner >= 0 && owner < p && owner != rank);
+    if (recvFromRanks_.empty() || recvFromRanks_.back() != owner) {
+      recvFromRanks_.push_back(owner);
+      recvCounts_.push_back(0);
+      recvOffsets_.push_back(static_cast<int>(s));
+    }
+    ++recvCounts_.back();
   }
 
   // One-time interior/boundary split into runs of consecutive rows:
@@ -366,12 +422,56 @@ void DistCsrMatrix::buildHaloPlan() {
         std::all_of(first, last, [nlocal](int c) { return c < nlocal; });
     extend(interior ? interiorRows_ : boundaryRows_, i);
   }
+}
 
-  // Persistent per-spmv scratch + reserved tag block: sized here so spmv()
-  // itself never touches the heap.
+void DistCsrMatrix::ensureSendPlan() const {
+  if (sendPlanReady_) return;
+  gHaloPlanBuilds.fetch_add(1, std::memory_order_relaxed);
+  obs::count("sparse.halo_plan_builds");
+  obs::Span span("sparse.halo_plan_build");
+  const int p = comm_.size();
+  const int rank = comm_.rank();
+  const int myStart = colBase_;
+
+  // Tell every rank how many of its entries we need, then send each owner
+  // its slice of the ghost list so senders know what to ship each spmv.
+  std::vector<int> requestCounts(static_cast<std::size_t>(p), 0);
+  for (std::size_t r = 0; r < recvFromRanks_.size(); ++r) {
+    requestCounts[static_cast<std::size_t>(recvFromRanks_[r])] = recvCounts_[r];
+  }
+  std::vector<int> allCounts =
+      comm_.allgatherv(std::span<const int>(requestCounts), nullptr);
+  // allCounts[q*p + r] = how many entries rank q needs from rank r.
+  sendToRanks_.clear();
+  sendIdx_.clear();
+  sendOffsets_.assign(1, 0);
+  for (std::size_t r = 0; r < recvFromRanks_.size(); ++r) {
+    comm_.send(std::span<const int>(ghostCols_.data() + recvOffsets_[r],
+                                    static_cast<std::size_t>(recvCounts_[r])),
+               recvFromRanks_[r], kPlanTag);
+  }
+  for (int q = 0; q < p; ++q) {
+    if (q == rank) continue;
+    const int needed =
+        allCounts[static_cast<std::size_t>(q) * static_cast<std::size_t>(p) +
+                  static_cast<std::size_t>(rank)];
+    if (needed == 0) continue;
+    std::vector<int> globalIdx = comm_.recvVector<int>(q, kPlanTag);
+    LISI_ASSERT(static_cast<int>(globalIdx.size()) == needed);
+    for (const int g : globalIdx) {
+      LISI_ASSERT(g >= myStart && g < myStart + ownedCols_);
+      sendIdx_.push_back(g - myStart);
+    }
+    sendToRanks_.push_back(q);
+    sendOffsets_.push_back(static_cast<int>(sendIdx_.size()));
+  }
+
+  // Persistent per-spmv scratch + reserved tag block: sized here so a warm
+  // spmv() never touches the heap.
   reserveScratch(scratch_, 1);
   spmvTags_ = comm_.reserveCollectiveTags(kSpmvTagRounds);
   spmvRound_ = 0;
+  sendPlanReady_ = true;
 }
 
 template <class T>
@@ -386,8 +486,8 @@ void DistCsrMatrix::reserveScratch(Scratch<T>& s, int nVec) const {
 }
 
 // lisi-lint: zero-alloc-begin(spmv steady state: plan-owned scratch only)
-// reserveScratch sizes the scratch and buildHaloPlan reserves the spmv tag
-// block precisely so the row sweep and spmv() never touch the heap (the
+// reserveScratch sizes the scratch and ensureSendPlan reserves the spmv tag
+// block precisely so the row sweep and a warm spmv() never touch the heap (the
 // float and batched entry points grow their scratch before entering the
 // sweep); the markers make that promise a lint-enforced contract.
 namespace {
@@ -585,6 +685,7 @@ void DistCsrMatrix::spmv(std::span<const double> xLocal,
              "DistCsrMatrix::spmv: x size mismatch");
   LISI_CHECK(static_cast<int>(yLocal.size()) == localRows(),
              "DistCsrMatrix::spmv: y size mismatch");
+  ensureSendPlan();
   obs::Span spmvSpan("sparse.spmv");
   spmvRuns(xLocal, yLocal, 1, local_.values, scratch_);
 }
@@ -600,6 +701,7 @@ void DistCsrMatrix::spmvFloat(std::span<const float> xLocal,
   LISI_CHECK(static_cast<int>(yLocal.size()) == localRows(),
              "DistCsrMatrix::spmvFloat: y size mismatch");
 
+  ensureSendPlan();
   if (!floatMirrorFresh_) {
     // Lazy mirror: cast the current values once; the halo plan, index
     // arrays, and row runs are shared with the double path.
@@ -628,6 +730,7 @@ void DistCsrMatrix::spmvMulti(std::span<const double> xLocal,
              "DistCsrMatrix::spmvMulti: x size mismatch");
   LISI_CHECK(yLocal.size() == mloc * nv,
              "DistCsrMatrix::spmvMulti: y size mismatch");
+  ensureSendPlan();
   obs::Span spmvSpan("sparse.spmv_multi");
   reserveScratch(scratch_, nVec);
   spmvRuns(xLocal, yLocal, nVec, local_.values, scratch_);

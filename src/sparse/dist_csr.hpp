@@ -10,7 +10,10 @@
 // caller's canonical (global column) order, so each row's owned entries
 // are one contiguous run and every product is bitwise the serial CSR one.
 // The ghosts' x entries are fetched from their owners through a
-// communication plan built once at construction.
+// communication plan.  Its local half (ghost list, renumbering, row runs)
+// is built at construction; its collective half (who sends which entries,
+// the reserved tags) on the first product, so an operator that is only
+// gathered or viewed never pays for it.
 //
 // Every product runs one path.  The plan splits the local rows once into
 // runs of *interior* rows (touch no ghost column) and *boundary* rows.
@@ -89,6 +92,18 @@ struct OwnedBlockView {
   [[nodiscard]] bool samePattern(const OwnedBlockView& o) const;
 };
 
+/// How a caller's block compares with the one an operator holds (see
+/// DistCsrMatrix::matchBlock).
+struct BlockMatch {
+  bool pattern = false;  ///< same rows, row pointers and global columns
+  bool values = false;   ///< same pattern and every value bitwise equal
+  bool finite = true;    ///< no NaN or Inf among the caller's values
+};
+
+/// True when no value is NaN or Inf (read from the exponent bits, so
+/// value-unsafe floating-point flags cannot fold the test away).
+[[nodiscard]] bool allFinite(std::span<const double> values);
+
 /// Distributed CSR matrix (square operators distribute x like rows; spmv
 /// requires globalRows == globalCols).
 class DistCsrMatrix {
@@ -105,6 +120,14 @@ class DistCsrMatrix {
   /// example) must pass `colStarts`: the ownership boundaries of the input
   /// vector (size comm.size()+1, covering [0, globalCols]).
   DistCsrMatrix(comm::Comm comm, int globalRows, int globalCols, int startRow,
+                CsrMatrix local, std::vector<int> colStarts = {});
+
+  /// The same, for callers whose ranks already agree on the row ownership
+  /// boundaries `rowStarts` (size comm.size()+1, identical on every rank;
+  /// this rank owns [rowStarts[rank], rowStarts[rank+1])): no
+  /// communication at all.  The halo plan's collective half still waits
+  /// for the first product.
+  DistCsrMatrix(comm::Comm comm, std::vector<int> rowStarts, int globalCols,
                 CsrMatrix local, std::vector<int> colStarts = {});
 
   /// Scatter a replicated global matrix by near-even block rows (rank 0's
@@ -141,17 +164,20 @@ class DistCsrMatrix {
   /// order: the caller-side form, for cold paths that hand the block on.
   [[nodiscard]] CsrMatrix globalBlock() const;
 
-  /// Same row and column partition, ghosts, and local pattern as `o`, so
-  /// their value arrays correspond entry by entry.
-  [[nodiscard]] bool sameStructure(const DistCsrMatrix& o) const;
+  /// The exact pattern check: compare a canonical block in global columns
+  /// (the constructor's input form) with this rank's stored block, entry
+  /// by entry in one pass, which also compares the values bitwise and
+  /// scans them for NaN/Inf.  Exact, so no two patterns can be mistaken
+  /// for each other.  Purely local.
+  [[nodiscard]] BlockMatch matchBlock(const CsrMatrix& local) const;
 
   /// Refresh the numerical values in place, keeping the halo-exchange plan,
   /// ghost column map, and all scratch.  `local` must be canonical (sorted
   /// columns, merged duplicates) and carry exactly the sparsity structure of
-  /// this operator (global column indices, as given to the constructor);
-  /// anything else throws.  Purely local: no communication and no
-  /// allocation — this is the same-pattern fast path of the operator change
-  /// contract (DESIGN.md "Operator change contract").
+  /// this operator (matchBlock's pattern); anything else throws.  Purely
+  /// local: no communication and no allocation — this is the same-pattern
+  /// fast path of the operator change contract (DESIGN.md "Operator change
+  /// contract").
   void updateValues(const CsrMatrix& local);
 
   /// y = A*x; x is this rank's piece under colStarts(), y under rowStarts().
@@ -224,7 +250,16 @@ class DistCsrMatrix {
     std::vector<T> recv;  ///< ghost payload, index-major (nVec per ghost)
   };
 
-  void buildHaloPlan();
+  /// matchBlock's pass; without kValues only the pattern (updateValues'
+  /// check), and `values` reads false.
+  template <bool kValues>
+  [[nodiscard]] BlockMatch compareBlock(const CsrMatrix& local) const;
+  /// The plan's local half: ghost list, renumbering, recv side, row runs.
+  void buildLocalPlan();
+  /// The plan's collective half, on the first product: every caller of a
+  /// product runs it on all ranks together, so all ranks get here at the
+  /// same point of their collective sequence.
+  void ensureSendPlan() const;
   /// Grow `s` for nVec vectors (growth-only: steady state never allocates).
   template <class T>
   void reserveScratch(Scratch<T>& s, int nVec) const;
@@ -243,25 +278,29 @@ class DistCsrMatrix {
   int colBase_ = 0;             ///< global column of local column 0
   int ownedCols_ = 0;           ///< local columns [0, ownedCols_) are owned
 
-  // Halo plan (built once):
+  // Halo plan, local half (built at construction):
   std::vector<int> ghostCols_;              ///< sorted global cols we need;
                                             ///< ghost slot s is local column
                                             ///< ownedCols_ + s
   std::vector<int> recvFromRanks_;          ///< ranks we receive ghosts from
   std::vector<int> recvCounts_;             ///< ghosts per recv rank
   std::vector<int> recvOffsets_;            ///< slot offset per recv rank
-  std::vector<int> sendToRanks_;            ///< ranks we send x entries to
-  std::vector<int> sendIdx_;                ///< local x indices, flat
-  std::vector<int> sendOffsets_;            ///< sendIdx_ range per send rank,
-                                            ///< size sendToRanks_.size()+1
   std::vector<Run> interiorRows_;           ///< rows with no ghost column
   std::vector<Run> boundaryRows_;           ///< rows with >= 1 ghost column
-  std::vector<int> spmvTags_;               ///< reserved tags, one per round
 
-  // Per-spmv scratch; buildHaloPlan() sizes the double scratch for one
-  // vector so spmv() never allocates.  Mutable: spmv() is logically const;
-  // each rank owns its DistCsrMatrix instance, so there is no cross-thread
-  // aliasing.
+  // Halo plan, collective half (built by the first product; mutable, as
+  // the products are logically const and each rank owns its instance):
+  mutable bool sendPlanReady_ = false;
+  mutable std::vector<int> sendToRanks_;    ///< ranks we send x entries to
+  mutable std::vector<int> sendIdx_;        ///< local x indices, flat
+  mutable std::vector<int> sendOffsets_;    ///< sendIdx_ range per send rank,
+                                            ///< size sendToRanks_.size()+1
+  mutable std::vector<int> spmvTags_;       ///< reserved tags, one per round
+
+  // Per-spmv scratch; ensureSendPlan() sizes the double scratch for one
+  // vector so a warm spmv() never allocates.  Mutable: spmv() is logically
+  // const; each rank owns its DistCsrMatrix instance, so there is no
+  // cross-thread aliasing.
   mutable Scratch<double> scratch_;
   mutable std::size_t spmvRound_ = 0;       ///< rotates through spmvTags_
 
@@ -274,8 +313,9 @@ class DistCsrMatrix {
 
 // ---- Reuse observability (process-wide, across MiniMPI rank-threads) ----
 
-/// Number of halo-plan constructions since process start.  Tests assert a
-/// zero delta across a same-pattern re-setup to prove the plan was reused.
+/// Number of halo-plan constructions (the collective half, built by an
+/// operator's first product) since process start.  Tests assert a zero
+/// delta across a same-pattern re-setup to prove the plan was reused.
 [[nodiscard]] long long haloPlanBuilds();
 
 /// Number of in-place value refreshes (updateValues calls) since process

@@ -168,7 +168,7 @@ void noteReplayHit() {
 Decision tuneOperator(const TuneInput& in) {
   LISI_CHECK(in.mode != Mode::kOff, "tuneOperator: called with tuning off");
 
-  if (in.mode == Mode::kAuto && in.globalNnz < kAutoMinGlobalNnz) {
+  if (autoSkips(in.mode, in.globalNnz)) {
     // Too small for the decision to matter: the probe itself would cost
     // more than it could ever recoup.  Leave the default schedule in place.
     g_stats.autoSkips.fetch_add(1, std::memory_order_relaxed);

@@ -42,7 +42,8 @@ enum class Mode { kOff, kOn, kAuto };
 [[nodiscard]] const char* modeName(Mode m);
 
 /// Global operator identity: the kSum-allreduce of the per-rank structural
-/// fingerprints (FNV-1a structureHash) plus the communicator size.
+/// fingerprints (a word-wise FNV-1a of each block) plus the communicator
+/// size.
 struct OperatorKey {
   std::uint64_t fingerprint = 0;
   int ranks = 0;
@@ -88,6 +89,13 @@ struct TuneInput {
 
 /// kAuto probes only operators with at least this many global nonzeros.
 inline constexpr long long kAutoMinGlobalNnz = 1 << 15;
+
+/// Whether `mode` leaves an operator of `globalNnz` nonzeros untuned (the
+/// kAuto size gate).  Callers that know it need no key: tuneOperator then
+/// only counts the skip, without communicating.
+[[nodiscard]] inline bool autoSkips(Mode mode, long long globalNnz) {
+  return mode == Mode::kAuto && globalNnz < kAutoMinGlobalNnz;
+}
 
 /// Look up or measure the decision for `in.key` and pin its schedule on the
 /// communicator's context.  Collective: every rank of in.comm must call

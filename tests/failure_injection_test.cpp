@@ -3,6 +3,10 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <cmath>
+#include <limits>
+#include <map>
+#include <string>
 
 #include "comm/comm.hpp"
 #include "comm/comm_handle.hpp"
@@ -306,6 +310,83 @@ TEST(FailureLisi, ColumnOutOfRangeRejected) {
               static_cast<int>(ErrorCode::kInvalidArgument));
     comm::releaseHandle(h);
   });
+}
+
+TEST(FailureLisi, NonFiniteMatrixOnOneRankRejectedEverywhere) {
+  // NaN (then Inf) in one rank's values only.  The set-up's agreement
+  // collective carries a non-finite lane, so every rank returns
+  // kInvalidArgument, none hangs, and the component stays usable: a clean
+  // setupMatrix + solve afterwards succeeds.  Both on a fresh component and
+  // on one that holds a good operator of the same pattern.
+  const int gridN = 15;  // odd so hymg can coarsen
+  const struct {
+    const char* cls;
+    std::map<std::string, std::string> params;
+  } backends[] = {
+      {kPkspComponentClass, {{"solver", "gmres"}, {"preconditioner", "ilu"}}},
+      {kAztecComponentClass, {{"solver", "gmres"}, {"preconditioner", "ilu"}}},
+      {kSluComponentClass, {}},
+      {kHymgComponentClass,
+       {{"mg_grid_n", std::to_string(gridN)}, {"mg_bx", "3"}}},
+  };
+  registerSolverComponents();
+  for (const auto& backend : backends) {
+    for (const int p : {2, 4}) {
+      SCOPED_TRACE(std::string(backend.cls) + " p=" + std::to_string(p));
+      World::run(p, [&](Comm& c) {
+        mesh::Pde5ptSpec spec;
+        spec.gridN = gridN;
+        const auto sys = mesh::assembleLocal(spec, c.rank(), c.size());
+        const int m = sys.localA.rows;
+        const int nnz = sys.localA.nnz();
+        cca::Framework fw;
+        fw.instantiate("s", backend.cls);
+        auto s = fw.getProvidesPortAs<SparseSolver>("s", kSparseSolverPortName);
+        const long h = comm::registerHandle(c);
+        ASSERT_EQ(s->initialize(h), 0);
+        ASSERT_EQ(s->setStartRow(sys.startRow), 0);
+        ASSERT_EQ(s->setLocalRows(m), 0);
+        ASSERT_EQ(s->setGlobalCols(sys.globalN), 0);
+        for (const auto& [k, v] : backend.params) ASSERT_EQ(s->set(k, v), 0);
+        ASSERT_EQ(s->setupRHS(RArray<const double>(sys.localB.data(), m), m, 1),
+                  0);
+        const auto feedAndSolve = [&](const std::vector<double>& values) {
+          EXPECT_EQ(s->setupMatrix(RArray<const double>(values.data(), nnz),
+                                   RArray<const int>(sys.localA.rowPtr.data(),
+                                                     m + 1),
+                                   RArray<const int>(sys.localA.colIdx.data(),
+                                                     nnz),
+                                   SparseStruct::kCsr, m + 1, nnz),
+                    0);
+          std::vector<double> x(static_cast<std::size_t>(m));
+          std::vector<double> st(kStatusLength);
+          return s->solve(RArray<double>(x.data(), m),
+                          RArray<double>(st.data(), kStatusLength), m,
+                          kStatusLength);
+        };
+        const auto expectEverywhere = [&](int rc, ErrorCode want) {
+          EXPECT_EQ(rc, static_cast<int>(want));
+          EXPECT_EQ(c.allreduceValue(rc, comm::ReduceOp::kMin),
+                    c.allreduceValue(rc, comm::ReduceOp::kMax));
+        };
+        const double bad[2] = {std::numeric_limits<double>::quiet_NaN(),
+                               std::numeric_limits<double>::infinity()};
+        for (int round = 0; round < 2; ++round) {
+          // Round 0 hits a fresh component, round 1 one holding the good
+          // operator; the poisoned rank differs between the rounds.
+          std::vector<double> values = sys.localA.values;
+          if (c.rank() == (round == 0 ? c.size() - 1 : 0)) {
+            values[values.size() / 2] = bad[round];
+          }
+          expectEverywhere(feedAndSolve(values), ErrorCode::kInvalidArgument);
+          expectEverywhere(feedAndSolve(sys.localA.values), ErrorCode::kOk);
+        }
+        s.reset();
+        fw.destroy("s");
+        comm::releaseHandle(h);
+      });
+    }
+  }
 }
 
 }  // namespace

@@ -4,6 +4,8 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <memory>
+#include <tuple>
 
 #include "comm/comm.hpp"
 #include "hymg/hymg.hpp"
@@ -285,6 +287,118 @@ TEST(HymgGalerkin9Point, CoarseOperatorIsDenserThanRediscretized) {
     EXPECT_TRUE(mgG.solve(std::span<const double>(b), std::span<double>(x),
                           1e-8, 100)
                     .converged);
+  });
+}
+
+// ---- a caller's fine operator as level 0 --------------------------------
+
+class HymgAdopt : public ::testing::TestWithParam<std::tuple<int, bool>> {};
+// param: (ranks, Galerkin coarse operators)
+
+TEST_P(HymgAdopt, CallersFineLevelSolvesBitwiseLikeRediscretized) {
+  // Level 0 is the caller's operator, shared and never copied; on the
+  // stencil's own operator every cycle, residual and solution is bitwise
+  // the rediscretizing solver's.  After the owner refreshes the values in
+  // place, refreshOperator brings the rest of the hierarchy along, again
+  // bitwise like a solver rediscretized at the new coefficients.
+  const auto [p, galerkin] = GetParam();
+  World::run(p, [galerkin = galerkin](Comm& c) {
+    const int n = 15;
+    Options opts;
+    if (galerkin) opts.coarseOperator = CoarseOperator::kGalerkin;
+    const auto solveWith = [](const Solver& mg, SolveInfo& info) {
+      std::vector<double> b(static_cast<std::size_t>(mg.fineLocalRows()));
+      Rng rng(7 + static_cast<std::uint64_t>(mg.fineMatrix().startRow()));
+      for (auto& v : b) v = rng.uniform(-1, 1);
+      std::vector<double> x(b.size(), 0.0);
+      info = mg.solve(std::span<const double>(b), std::span<double>(x), 1e-10,
+                      50);
+      return x;
+    };
+    const Solver native(c, n, convectionDiffusionStencil(1.0, 0.0), opts);
+    auto fine = std::make_shared<lisi::sparse::DistCsrMatrix>(
+        c, n * n, n * n, native.fineMatrix().startRow(),
+        native.fineMatrix().globalBlock());
+    Solver adopted(fine, n, convectionDiffusionStencil(1.0, 0.0), opts);
+    EXPECT_EQ(&adopted.fineMatrix(), fine.get());
+    EXPECT_EQ(adopted.numLevels(), native.numLevels());
+    SolveInfo a, b;
+    EXPECT_EQ(solveWith(adopted, a), solveWith(native, b));
+    EXPECT_EQ(a.cycles, b.cycles);
+    EXPECT_EQ(a.residualNorm, b.residualNorm);
+
+    const Solver renative(c, n, convectionDiffusionStencil(3.0, 0.0), opts);
+    fine->updateValues(renative.fineMatrix().globalBlock());
+    adopted.refreshOperator(convectionDiffusionStencil(3.0, 0.0));
+    EXPECT_EQ(solveWith(adopted, a), solveWith(renative, b));
+    EXPECT_EQ(a.cycles, b.cycles);
+    EXPECT_EQ(a.residualNorm, b.residualNorm);
+  });
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    RanksAndCoarsening, HymgAdopt,
+    ::testing::Combine(::testing::Values(1, 2, 4), ::testing::Bool()));
+
+TEST(HymgAdoptErrors, OtherPartitionRejectedOnEveryRank) {
+  // A fine operator partitioned unlike HyMG's block rows cannot serve as
+  // level 0: every rank reads the same row boundaries, so all throw.
+  World::run(2, [](Comm& c) {
+    const int n = 7;
+    const lisi::sparse::CsrMatrix g = lisi::sparse::laplacian2d(n, n);
+    const int start = c.rank() == 0 ? 0 : 10;  // BlockRowPartition: 25 / 24
+    const int end = c.rank() == 0 ? 10 : n * n;
+    lisi::sparse::CsrMatrix rows;
+    rows.rows = end - start;
+    rows.cols = g.cols;
+    rows.rowPtr.push_back(0);
+    for (int i = start; i < end; ++i) {
+      for (int k = g.rowPtr[static_cast<std::size_t>(i)];
+           k < g.rowPtr[static_cast<std::size_t>(i) + 1]; ++k) {
+        rows.colIdx.push_back(g.colIdx[static_cast<std::size_t>(k)]);
+        rows.values.push_back(g.values[static_cast<std::size_t>(k)]);
+      }
+      rows.rowPtr.push_back(static_cast<int>(rows.colIdx.size()));
+    }
+    auto fine = std::make_shared<const lisi::sparse::DistCsrMatrix>(
+        c, n * n, n * n, start, std::move(rows));
+    EXPECT_THROW(Solver(fine, n, laplaceStencil), lisi::Error);
+  });
+}
+
+TEST(HymgStencilCheck, RoundingPassesMismatchAndMissingEntriesFail) {
+  World::run(1, [](Comm& c) {
+    const int n = 9;
+    const StencilFn stencil = convectionDiffusionStencil(3.0, 0.0);
+    const Stencil5 st = stencil(1.0 / (n + 1));
+    const Solver mg(c, n, stencil);
+    const lisi::sparse::CsrMatrix exact = mg.fineMatrix().globalBlock();
+    EXPECT_TRUE(matchesStencil(exact, 0, n, st, 1e-8));
+
+    lisi::sparse::CsrMatrix rounded = exact;
+    for (double& v : rounded.values) v *= 1.0 + 1e-12;
+    EXPECT_TRUE(matchesStencil(rounded, 0, n, st, 1e-8));
+
+    lisi::sparse::CsrMatrix off = exact;
+    off.values[3] *= 1.001;
+    EXPECT_FALSE(matchesStencil(off, 0, n, st, 1e-8));
+
+    // Row 0 without its east neighbour: a missing entry counts as zero.
+    lisi::sparse::CsrMatrix missing = exact;
+    missing.colIdx.erase(missing.colIdx.begin() + 1);
+    missing.values.erase(missing.values.begin() + 1);
+    for (std::size_t i = 1; i < missing.rowPtr.size(); ++i) --missing.rowPtr[i];
+    EXPECT_FALSE(matchesStencil(missing, 0, n, st, 1e-8));
+
+    // An explicit zero the stencil does not have is harmless.
+    lisi::sparse::CsrMatrix padded = exact;
+    padded.colIdx.insert(padded.colIdx.begin() + 2, 2);
+    padded.values.insert(padded.values.begin() + 2, 0.0);
+    for (std::size_t i = 1; i < padded.rowPtr.size(); ++i) ++padded.rowPtr[i];
+    EXPECT_TRUE(matchesStencil(padded, 0, n, st, 1e-8));
+
+    // Rows past the grid are never the grid's operator.
+    EXPECT_FALSE(matchesStencil(exact, 1, n, st, 1e-8));
   });
 }
 

@@ -10,6 +10,7 @@
 // barriers the only activity on any rank is reading the counter.
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <cmath>
 #include <map>
 #include <string>
@@ -71,7 +72,7 @@ std::shared_ptr<SparseSolver> wireSolver(
     cca::Framework& fw, long handle, int backendIndex,
     const mesh::Pde5ptLocalSystem& sys, int gridN) {
   registerSolverComponents();
-  static int counter = 0;
+  static std::atomic<int> counter{0};  // rank threads name components
   const std::string name = "reuse" + std::to_string(counter++);
   fw.instantiate(name, backendClass(backendIndex));
   auto s = fw.getProvidesPortAs<SparseSolver>(name, kSparseSolverPortName);
@@ -226,6 +227,128 @@ INSTANTIATE_TEST_SUITE_P(
       return std::string(backendLabel(std::get<0>(info.param))) + "_ranks" +
              std::to_string(std::get<1>(info.param));
     });
+
+// ---- exact classification: the pattern check is entry by entry ----------
+
+/// `a` with the last entry of its first row moved one column right (same
+/// row pointers, same nnz, still canonical): a new pattern that a check of
+/// the row counts alone would miss.
+sparse::CsrMatrix moveFirstRowsLastColumn(const sparse::CsrMatrix& a) {
+  sparse::CsrMatrix moved = a;
+  const auto last = static_cast<std::size_t>(moved.rowPtr[1]) - 1;
+  moved.colIdx[last] += 1;
+  EXPECT_LT(moved.colIdx[last], moved.cols);
+  return moved;
+}
+
+class LisiExactClassification : public ::testing::TestWithParam<int> {};
+// param: ranks
+
+TEST_P(LisiExactClassification, ColumnMovedWithinARowIsNewStructure) {
+  // Every rank moves one column inside its first row: the row pointers and
+  // the nnz stay, the pattern does not.  kNewStructure: every rank builds
+  // one new plan, and the solve is bitwise a fresh component's.
+  const int gridN = 15;
+  World::run(GetParam(), [&](Comm& c) {
+    mesh::Pde5ptSpec spec;
+    spec.gridN = gridN;
+    const auto sys = mesh::assembleLocal(spec, c.rank(), c.size());
+    const sparse::CsrMatrix moved = moveFirstRowsLastColumn(sys.localA);
+    cca::Framework fw;
+    const long h = comm::registerHandle(c);
+    auto s = wireSolver(fw, h, 0, sys, gridN);
+    (void)feedAndSolve(*s, sys.localA, sys.localB);
+
+    c.barrier();
+    const long long plans0 = sparse::haloPlanBuilds();
+    const long long updates0 = sparse::valueUpdates();
+    c.barrier();
+    const std::vector<double> x = feedAndSolve(*s, moved, sys.localB);
+    c.barrier();
+    EXPECT_EQ(sparse::haloPlanBuilds() - plans0, c.size());
+    EXPECT_EQ(sparse::valueUpdates() - updates0, 0);
+    c.barrier();
+
+    auto fresh = wireSolver(fw, h, 0, sys, gridN);
+    EXPECT_EQ(x, feedAndSolve(*fresh, moved, sys.localB));
+    comm::releaseHandle(h);
+  });
+}
+
+TEST_P(LisiExactClassification,
+       ValuesChangedOnOneRankAreSameStructureEverywhere) {
+  // Only the last rank scales its values: every rank refreshes in place
+  // (kSameStructure), none rebuilds a plan, and pksp refreshes its ILU(0)
+  // on every rank.
+  const int gridN = 15;
+  World::run(GetParam(), [&](Comm& c) {
+    mesh::Pde5ptSpec spec;
+    spec.gridN = gridN;
+    const auto sys = mesh::assembleLocal(spec, c.rank(), c.size());
+    sparse::CsrMatrix changed = sys.localA;
+    if (c.rank() == c.size() - 1) {
+      for (double& v : changed.values) v *= 1.25;
+    }
+    cca::Framework fw;
+    const long h = comm::registerHandle(c);
+    auto s = wireSolver(fw, h, 0, sys, gridN);
+    (void)feedAndSolve(*s, sys.localA, sys.localB);
+
+    c.barrier();
+    const long long plans0 = sparse::haloPlanBuilds();
+    const long long updates0 = sparse::valueUpdates();
+    const long long refresh0 = pksp::pcRefreshesTotal();
+    c.barrier();
+    const std::vector<double> x = feedAndSolve(*s, changed, sys.localB);
+    c.barrier();
+    EXPECT_EQ(sparse::haloPlanBuilds() - plans0, 0);
+    EXPECT_EQ(sparse::valueUpdates() - updates0, c.size());
+    EXPECT_EQ(pksp::pcRefreshesTotal() - refresh0, c.size());
+    c.barrier();
+
+    auto fresh = wireSolver(fw, h, 0, sys, gridN);
+    const std::vector<double> xf = feedAndSolve(*fresh, changed, sys.localB);
+    ASSERT_EQ(x.size(), xf.size());
+    for (std::size_t i = 0; i < x.size(); ++i) EXPECT_NEAR(x[i], xf[i], 1e-12);
+    comm::releaseHandle(h);
+  });
+}
+
+TEST_P(LisiExactClassification,
+       PatternChangedOnOneRankIsNewStructureEverywhere) {
+  // Only rank 0 moves a column: every rank rebuilds (kNewStructure), one
+  // plan each and no value refresh, and the solve is bitwise a fresh
+  // component's.
+  const int gridN = 15;
+  World::run(GetParam(), [&](Comm& c) {
+    mesh::Pde5ptSpec spec;
+    spec.gridN = gridN;
+    const auto sys = mesh::assembleLocal(spec, c.rank(), c.size());
+    const sparse::CsrMatrix changed =
+        c.rank() == 0 ? moveFirstRowsLastColumn(sys.localA) : sys.localA;
+    cca::Framework fw;
+    const long h = comm::registerHandle(c);
+    auto s = wireSolver(fw, h, 0, sys, gridN);
+    (void)feedAndSolve(*s, sys.localA, sys.localB);
+
+    c.barrier();
+    const long long plans0 = sparse::haloPlanBuilds();
+    const long long updates0 = sparse::valueUpdates();
+    c.barrier();
+    const std::vector<double> x = feedAndSolve(*s, changed, sys.localB);
+    c.barrier();
+    EXPECT_EQ(sparse::haloPlanBuilds() - plans0, c.size());
+    EXPECT_EQ(sparse::valueUpdates() - updates0, 0);
+    c.barrier();
+
+    auto fresh = wireSolver(fw, h, 0, sys, gridN);
+    EXPECT_EQ(x, feedAndSolve(*fresh, changed, sys.localB));
+    comm::releaseHandle(h);
+  });
+}
+
+INSTANTIATE_TEST_SUITE_P(Ranks, LisiExactClassification,
+                         ::testing::Values(1, 2, 4));
 
 // ---- SLU: a frozen pivot that turns zero falls back to a full factor ------
 

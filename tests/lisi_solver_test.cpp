@@ -4,6 +4,7 @@
 // component class name, must solve the same system through every backend.
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <cmath>
 
 #include "comm/comm.hpp"
@@ -328,7 +329,7 @@ TEST(LisiHymg, ReportedResidualIsTheTrueResidualBitwise) {
 std::shared_ptr<SparseSolver> freshSolver(cca::Framework& fw,
                                           const char* cls = kPkspComponentClass) {
   registerSolverComponents();
-  static int counter = 0;
+  static std::atomic<int> counter{0};  // rank threads name components
   const std::string name = "s" + std::to_string(counter++);
   fw.instantiate(name, cls);
   return fw.getProvidesPortAs<SparseSolver>(name, kSparseSolverPortName);

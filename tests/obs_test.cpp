@@ -17,7 +17,11 @@
 #include <thread>
 #include <vector>
 
+#include "cca/cca.hpp"
 #include "comm/comm.hpp"
+#include "comm/comm_handle.hpp"
+#include "lisi/sparse_solver.hpp"
+#include "mesh/pde5pt.hpp"
 #include "obs/obs.hpp"
 
 namespace lisi {
@@ -83,6 +87,24 @@ TEST(Obs, SpanNestingRecordsBothLevels) {
   }
   EXPECT_TRUE(sawOuterAtDepth0);
   EXPECT_TRUE(sawInnerAtDepth1);
+}
+
+TEST(Obs, TraceTimestampsCountFromTimeZero) {
+  // Event starts are offsets from a time zero taken before the first span,
+  // so none is negative (an unsigned offset would wrap to ~1.8e16 us and
+  // keep only a few microseconds of resolution in a double).
+  SKIP_IF_DISABLED();
+  obs::reset();
+  World::run(2, [](Comm& c) {
+    obs::Span span("obs_test.time_zero");
+    c.barrier();
+  });
+  const std::vector<obs::TraceEvent> events = obs::traceEvents();
+  ASSERT_FALSE(events.empty());
+  for (const obs::TraceEvent& e : events) {
+    EXPECT_GE(e.startUs, 0.0) << e.name;
+    EXPECT_LT(e.startUs, 1e12) << e.name;  // under 12 days of process time
+  }
 }
 
 TEST(Obs, CountersAggregateAcrossRanks) {
@@ -207,6 +229,137 @@ TEST(Obs, ResetClearsEverything) {
   const obs::Report r = obs::collect();
   EXPECT_EQ(findCounter(r, "obs_test.reset_me"), nullptr);
   EXPECT_TRUE(obs::traceEvents().empty());
+}
+
+// ---- the port's set-up runs one agreement collective ---------------------
+
+/// Allreduces rank `rank` runs between the start of the span named `call`
+/// and the start of the lisi.backend_solve inside it; -1 when the call or
+/// its backend solve is missing.  An allreduce inside another collective
+/// (the tree allgatherv agrees on its counts with one) is that collective's
+/// part, not a call of its own.  `sawSetup` reports whether a lisi.setup
+/// span started in that window.
+int allreducesBeforeBackend(const std::vector<obs::TraceEvent>& events,
+                            int rank, const std::string& call,
+                            bool& sawSetup) {
+  const obs::TraceEvent* outer = nullptr;
+  for (const obs::TraceEvent& e : events) {
+    if (e.rank == rank && e.name == call) outer = &e;
+  }
+  if (outer == nullptr) return -1;
+  const double begin = outer->startUs;
+  double backend = -1.0;
+  for (const obs::TraceEvent& e : events) {
+    if (e.rank == rank && e.name == "lisi.backend_solve" &&
+        e.startUs >= begin && e.startUs <= begin + outer->durUs) {
+      backend = e.startUs;
+      break;
+    }
+  }
+  if (backend < 0.0) return -1;
+  const auto inWindow = [&](const obs::TraceEvent& e) {
+    return e.rank == rank && e.startUs >= begin && e.startUs < backend;
+  };
+  const auto isColl = [](const obs::TraceEvent& e) {
+    return e.name.rfind("coll.", 0) == 0;
+  };
+  int n = 0;
+  sawSetup = false;
+  for (const obs::TraceEvent& e : events) {
+    if (!inWindow(e)) continue;
+    if (e.name == "lisi.setup") sawSetup = true;
+    if (e.name.rfind("coll.allreduce", 0) != 0) continue;
+    const bool nested = std::any_of(
+        events.begin(), events.end(), [&](const obs::TraceEvent& o) {
+          return &o != &e && inWindow(o) && isColl(o) && o.depth < e.depth &&
+                 o.startUs <= e.startUs &&
+                 e.startUs + e.durUs <= o.startUs + o.durUs;
+        });
+    if (!nested) ++n;
+  }
+  return n;
+}
+
+TEST(ObsLisi, PortSetupRunsOneAllreduceBeforeTheBackend) {
+  // DESIGN.md "Operator change contract": one sum-allreduce agrees on the
+  // pattern, the values, the global shape and the operator's validity.  A
+  // fresh pksp solve on an operator below the tuner's kAuto gate and a
+  // same-structure re-solve each run exactly that one before the backend;
+  // a re-solve without setupMatrix runs none.
+  SKIP_IF_DISABLED();
+  obs::reset();
+  const int p = 4;
+  World::run(p, [](Comm& c) {
+    registerSolverComponents();
+    mesh::Pde5ptSpec spec;
+    spec.gridN = 15;  // 225 rows, ~1.1k nonzeros: far below the kAuto gate
+    const auto sys = mesh::assembleLocal(spec, c.rank(), c.size());
+    const int m = sys.localA.rows;
+    const int nnz = sys.localA.nnz();
+    cca::Framework fw;
+    fw.instantiate("s", kPkspComponentClass);
+    auto s = fw.getProvidesPortAs<SparseSolver>("s", kSparseSolverPortName);
+    const long h = comm::registerHandle(c);
+    ASSERT_EQ(s->initialize(h), 0);
+    ASSERT_EQ(s->setStartRow(sys.startRow), 0);
+    ASSERT_EQ(s->setLocalRows(m), 0);
+    ASSERT_EQ(s->setGlobalCols(sys.globalN), 0);
+    ASSERT_EQ(s->set("solver", "gmres"), 0);
+    ASSERT_EQ(s->set("preconditioner", "ilu"), 0);
+    ASSERT_EQ(s->set("tune", "auto"), 0);
+    ASSERT_EQ(s->set("precision", "double"), 0);
+    ASSERT_EQ(s->setupRHS(RArray<const double>(sys.localB.data(), m), m, 1), 0);
+    std::vector<double> scaled = sys.localA.values;
+    for (double& v : scaled) v *= 1.25;
+    std::vector<double> x(static_cast<std::size_t>(m));
+    double st[kStatusLength];
+    const auto solve = [&] {
+      EXPECT_EQ(s->solve(RArray<double>(x.data(), m),
+                         RArray<double>(st, kStatusLength), m, kStatusLength),
+                0);
+    };
+    const auto setup = [&](const std::vector<double>& values) {
+      EXPECT_EQ(s->setupMatrix(
+                    RArray<const double>(values.data(), nnz),
+                    RArray<const int>(sys.localA.rowPtr.data(), m + 1),
+                    RArray<const int>(sys.localA.colIdx.data(), nnz),
+                    SparseStruct::kCsr, m + 1, nnz),
+                0);
+    };
+    {
+      obs::Span call("obs_test.fresh");
+      setup(sys.localA.values);
+      solve();
+    }
+    {
+      obs::Span call("obs_test.same_structure");
+      setup(scaled);
+      solve();
+    }
+    {
+      obs::Span call("obs_test.resolve");
+      solve();
+    }
+    s.reset();
+    fw.destroy("s");
+    comm::releaseHandle(h);
+  });
+  const std::vector<obs::TraceEvent> events = obs::traceEvents();
+  ASSERT_EQ(obs::collect().droppedEvents, 0u);
+  for (int r = 0; r < p; ++r) {
+    SCOPED_TRACE("rank " + std::to_string(r));
+    bool sawSetup = false;
+    EXPECT_EQ(allreducesBeforeBackend(events, r, "obs_test.fresh", sawSetup),
+              1);
+    EXPECT_TRUE(sawSetup);
+    EXPECT_EQ(allreducesBeforeBackend(events, r, "obs_test.same_structure",
+                                      sawSetup),
+              1);
+    EXPECT_TRUE(sawSetup);
+    EXPECT_EQ(allreducesBeforeBackend(events, r, "obs_test.resolve", sawSetup),
+              0);
+    EXPECT_FALSE(sawSetup);
+  }
 }
 
 }  // namespace

@@ -18,6 +18,7 @@
 // world; samples are taken inside barrier sandwiches, tune-test style.
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <cstdlib>
 #include <string>
 #include <tuple>
@@ -76,7 +77,7 @@ std::vector<double> solvePde(const Comm& c, const std::string& cls, int gridN,
   const int m = sys.localA.rows;
 
   cca::Framework fw;
-  static int counter = 0;
+  static std::atomic<int> counter{0};  // rank threads name components
   const std::string name = "prec" + std::to_string(counter++);
   fw.instantiate(name, cls);
   auto s = fw.getProvidesPortAs<SparseSolver>(name, kSparseSolverPortName);

@@ -4,6 +4,7 @@
 
 #include <atomic>
 #include <functional>
+#include <limits>
 #include <string>
 #include <utility>
 
@@ -504,6 +505,57 @@ TEST_P(DistP, DistVectorReductionsMatchSerial) {
     double infRef = 0.0;
     for (double v : x) infRef = std::max(infRef, std::abs(v));
     EXPECT_DOUBLE_EQ(distNormInf(c, xLoc), infRef);
+  });
+}
+
+TEST_P(DistP, MatchBlockIsExactAndFlagsNonFinite) {
+  // The exact pattern check behind the port's classification: a moved
+  // column (owned or ghost) is another pattern, a sign flip of zero is
+  // another value, and NaN/Inf are flagged whatever the pattern, while the
+  // largest finite value and subnormals are not.
+  const int p = GetParam();
+  mesh::Pde5ptSpec spec;
+  spec.gridN = 9;
+  comm::World::run(p, [&](comm::Comm& c) {
+    const auto sys = mesh::assembleLocal(spec, c.rank(), c.size());
+    const CsrMatrix block = canonical(sys.localA);
+    const DistCsrMatrix dist(c, sys.globalN, sys.globalN, sys.startRow, block);
+    BlockMatch m = dist.matchBlock(block);
+    EXPECT_TRUE(m.pattern && m.values && m.finite);
+
+    CsrMatrix moved = block;  // last entry of row 0 one column right
+    moved.colIdx[static_cast<std::size_t>(moved.rowPtr[1]) - 1] += 1;
+    m = dist.matchBlock(moved);
+    EXPECT_FALSE(m.pattern);
+    EXPECT_FALSE(m.values);
+    EXPECT_TRUE(m.finite);
+    EXPECT_THROW(DistCsrMatrix(dist).updateValues(moved), Error);
+
+    CsrMatrix other = block;
+    other.values.back() = -other.values.back();
+    m = dist.matchBlock(other);
+    EXPECT_TRUE(m.pattern);
+    EXPECT_FALSE(m.values);
+    EXPECT_TRUE(m.finite);
+
+    for (const double v : {std::numeric_limits<double>::max(),
+                           -std::numeric_limits<double>::denorm_min(), 0.0,
+                           -0.0}) {
+      CsrMatrix odd = block;
+      odd.values.front() = v;
+      EXPECT_TRUE(dist.matchBlock(odd).finite) << v;
+      EXPECT_TRUE(allFinite(odd.values)) << v;
+    }
+    for (const double v : {std::numeric_limits<double>::quiet_NaN(),
+                           std::numeric_limits<double>::infinity(),
+                           -std::numeric_limits<double>::infinity()}) {
+      CsrMatrix bad = block;
+      bad.values[bad.values.size() / 2] = v;
+      EXPECT_FALSE(dist.matchBlock(bad).finite) << v;
+      bad.colIdx[static_cast<std::size_t>(bad.rowPtr[1]) - 1] += 1;
+      EXPECT_FALSE(dist.matchBlock(bad).finite) << v;
+      EXPECT_FALSE(allFinite(bad.values)) << v;
+    }
   });
 }
 

@@ -11,6 +11,7 @@
 // samples are taken inside barrier sandwiches, reuse-test style.
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <cstdlib>
 #include <string>
 #include <vector>
@@ -64,7 +65,7 @@ std::shared_ptr<SparseSolver> wirePksp(cca::Framework& fw, long handle,
                                        const Comm& c, const CsrMatrix& global,
                                        int start, int m) {
   registerSolverComponents();
-  static int counter = 0;
+  static std::atomic<int> counter{0};  // rank threads name components
   const std::string name = "tune" + std::to_string(counter++);
   fw.instantiate(name, kPkspComponentClass);
   auto s = fw.getProvidesPortAs<SparseSolver>(name, kSparseSolverPortName);
@@ -297,6 +298,37 @@ TEST_P(TuneCache, AutoSkipsSmallOperators) {
     EXPECT_EQ(s1.autoSkips - s0.autoSkips, p);
     EXPECT_EQ(s1.cacheMisses - s0.cacheMisses, 0);
     EXPECT_EQ(s1.probeMeasurements - s0.probeMeasurements, 0);
+    comm::releaseHandle(h);
+  });
+}
+
+TEST_P(TuneCache, EqualSizeDifferentPatternGetsItsOwnKey) {
+  // Two operators of equal size, equal row pointers and equal nnz whose
+  // patterns differ by one column moved inside a row: the second must miss
+  // the cache (its own key), not replay the first one's decision.
+  const int p = GetParam();
+  tune::clearCacheForTest();
+  tune::resetStatsForTest();
+  const CsrMatrix a5 = sparse::laplacian2d(16, 16);
+  CsrMatrix moved = a5;
+  // Row 0 of the 16x16 Laplacian is {0, 1, 16}: move its last entry to 17.
+  moved.colIdx[static_cast<std::size_t>(moved.rowPtr[1]) - 1] += 1;
+  World::run(p, [&](Comm& c) {
+    int start = 0, m = 0;
+    myShare(a5.rows, c.rank(), c.size(), start, m);
+    cca::Framework fw;
+    const long h = comm::registerHandle(c);
+    auto s = wirePksp(fw, h, c, a5, start, m);
+    ASSERT_EQ(s->set("tune", "on"), 0);
+    ASSERT_EQ(s->set("solver", "gmres"), 0);  // the moved entry breaks symmetry
+    const tune::Stats s0 = sampleStats(c);
+    (void)feedAndSolve(*s, a5, start, m, 1.0);
+    const tune::Stats s1 = sampleStats(c);
+    EXPECT_EQ(s1.cacheMisses - s0.cacheMisses, p);
+    (void)feedAndSolve(*s, moved, start, m, 1.0);
+    const tune::Stats s2 = sampleStats(c);
+    EXPECT_EQ(s2.cacheMisses - s1.cacheMisses, p);
+    EXPECT_EQ(s2.cacheHits - s1.cacheHits, 0);
     comm::releaseHandle(h);
   });
 }
