@@ -6,15 +6,15 @@ set -euo pipefail
 cd "$(dirname "$0")/.."
 
 cmake -B build -S .
-cmake --build build -j --target ablation_pipeline ablation_reuse \
-  ablation_autotune ablation_precision ablation_overhead ablation_service \
+cmake --build build -j --target ablation_reuse ablation_autotune \
+  ablation_precision ablation_overhead ablation_service \
   ablation_collectives ablation_rarray ablation_params ablation_formats \
   ablation_matfree ablation_mg
 
 # Fail loudly, by name, if any expected harness binary is missing — a
 # renamed target would otherwise surface as a confusing "no such file"
 # halfway through the collection loop below.
-for bin in ablation_pipeline ablation_reuse ablation_autotune \
+for bin in ablation_reuse ablation_autotune \
     ablation_precision ablation_overhead ablation_service \
     ablation_collectives ablation_rarray ablation_params ablation_formats \
     ablation_matfree ablation_mg; do
@@ -26,10 +26,6 @@ done
 
 ART="$PWD/bench-artifacts"
 mkdir -p "$ART"
-
-# Pipelined-Krylov ablation writes BENCH_pipeline.json into its cwd.
-(cd "$ART" && "$OLDPWD"/build/bench/ablation_pipeline \
-  | tee BENCH_pipeline.txt)
 
 # Operator-reuse ablation writes BENCH_reuse.json into its cwd.
 (cd "$ART" && "$OLDPWD"/build/bench/ablation_reuse \

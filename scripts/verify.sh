@@ -7,14 +7,14 @@
 #              kernels and schedules, never results;
 #   2. checker: rebuild with -DLISI_COMM_CHECK=ON and run the full suite
 #              again — the MiniMPI verifier (lockstep collective signatures,
-#              wait-for-graph deadlock detection, tag/handle lint) must stay
+#              wait-for-graph deadlock detection, tag-space lint) must stay
 #              silent on correct code, and the comm_check_test seeded
 #              violations must each die with their diagnostic;
 #   3. TSan:   rebuild with -DLISI_SANITIZE=thread and run the comm, dist,
 #              and pksp binaries — MiniMPI is thread-backed, so this proves
-#              the overlapped halo exchange, the blocking and nonblocking
-#              (split-phase) collective schedules, and the pipelined Krylov
-#              loops race-free;
+#              the overlapped halo exchange, both collective schedule
+#              families, and the multi-rank Krylov loops (single-lane and
+#              the blocked lanes the service runs) race-free;
 #   4. ASan+UBSan: rebuild with -DLISI_SANITIZE=address+undefined (which
 #              also defines _GLIBCXX_ASSERTIONS, so std::vector indexing is
 #              bounds-checked) and run
@@ -141,7 +141,7 @@ cmake --build build-tsan -j --target comm_test sparse_dist_test pksp_test \
   service_test lisi_lint
 ./build-tsan/tests/comm_test
 ./build-tsan/tests/sparse_dist_test
-./build-tsan/tests/pksp_test --gtest_filter='*Pipelined*:*Pipeline*'
+./build-tsan/tests/pksp_test --gtest_filter='*PkspMulti*:*PkspGmres*:*PkspParallel*'
 
 # ---- 5b. service under TSan --------------------------------------------
 # The service layer is the one place where *client* threads race the rank

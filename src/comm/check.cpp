@@ -26,8 +26,6 @@ const char* collKindName(CollKind kind) {
     case CollKind::kAllgatherv: return "allgatherv";
     case CollKind::kScatter: return "scatter";
     case CollKind::kScatterv: return "scatterv";
-    case CollKind::kIallreduce: return "iallreduce";
-    case CollKind::kIbarrier: return "ibarrier";
     case CollKind::kReserveTags: return "reserveCollectiveTags";
   }
   return "?";
@@ -105,8 +103,7 @@ WorldChecker::WorldChecker(int worldSize, int maxUserTag,
       recentTags_(static_cast<std::size_t>(worldSize)),
       recentTagPos_(static_cast<std::size_t>(worldSize), 0),
       history_(static_cast<std::size_t>(worldSize)),
-      historyPos_(static_cast<std::size_t>(worldSize), 0),
-      handles_(static_cast<std::size_t>(worldSize)) {}
+      historyPos_(static_cast<std::size_t>(worldSize), 0) {}
 
 void WorldChecker::fail(const std::string& msg) const {
   if (report_) report_(msg);
@@ -432,15 +429,7 @@ void WorldChecker::detectDeadlockLocked(int aboutRank,
     out << " " << describeHistoryLocked(stuck[i]);
   }
   for (std::size_t r = 0; r < n; ++r) {
-    if (!exited_[r]) continue;
-    const auto& abandoned = handles_[r].abandonedTags;
-    out << "; rank " << r << " already exited";
-    if (!abandoned.empty()) {
-      out << " after abandoning " << abandoned.size()
-          << " incomplete CollHandle(s) (tag";
-      for (const int t : abandoned) out << " " << t;
-      out << ")";
-    }
+    if (exited_[r]) out << "; rank " << r << " already exited";
   }
   fail(out.str());
 }
@@ -489,54 +478,8 @@ void WorldChecker::noteWaitSatisfied(int worldRank)
   waits_[static_cast<std::size_t>(worldRank)].satisfied.store(true);
 }
 
-void WorldChecker::onNonblockingStart(int worldRank, int tag, const void* data,
-                                      std::size_t bytes,
-                                      const std::vector<BufferRange>& outstanding) {
-  if (data != nullptr && bytes != 0) {
-    const auto* lo = static_cast<const std::byte*>(data);
-    const std::byte* hi = lo + bytes;
-    for (const BufferRange& range : outstanding) {
-      if (range.data == nullptr || range.bytes == 0) continue;
-      const auto* rlo = static_cast<const std::byte*>(range.data);
-      const std::byte* rhi = rlo + range.bytes;
-      if (lo < rhi && rlo < hi) {
-        fail(
-            "LISI_COMM_CHECK: in-flight buffer aliasing on rank " +
-            std::to_string(worldRank) + ": nonblocking collective (tag " +
-            std::to_string(tag) + ") output buffer overlaps the buffer of an "
-            "outstanding nonblocking collective (tag " +
-            std::to_string(range.tag) +
-            "); a buffer belongs to its operation until the handle "
-            "completes");
-      }
-    }
-  }
-  support::MutexLock lock(mutex_);
-  handles_[static_cast<std::size_t>(worldRank)].liveTags.push_back(tag);
-}
-
-void WorldChecker::onNonblockingEnd(int worldRank, int tag, bool completed,
-                                    std::size_t stepsLeft) {
-  support::MutexLock lock(mutex_);
-  RankHandles& h = handles_[static_cast<std::size_t>(worldRank)];
-  const auto it = std::find(h.liveTags.begin(), h.liveTags.end(), tag);
-  if (it != h.liveTags.end()) h.liveTags.erase(it);
-  if (!completed && stepsLeft > 0) h.abandonedTags.push_back(tag);
-}
-
 void WorldChecker::onRankExit(int worldRank) {
   support::MutexLock lock(mutex_);
-  const RankHandles& h = handles_[static_cast<std::size_t>(worldRank)];
-  if (!h.liveTags.empty()) {
-    std::ostringstream out;
-    out << "LISI_COMM_CHECK: CollHandle leak at world teardown: rank "
-        << worldRank << " exited with " << h.liveTags.size()
-        << " live nonblocking collective handle(s) (tag";
-    for (const int t : h.liveTags) out << " " << t;
-    out << "); every CollHandle must be completed or destroyed before the "
-           "rank returns";
-    fail(out.str());
-  }
   exited_[static_cast<std::size_t>(worldRank)] = true;
   // A rank blocked on a now-exited peer can never be released; sweep on the
   // survivors' behalf so abandonment that strands a peer is diagnosed

@@ -73,8 +73,6 @@ enum class CollKind : std::uint8_t {
   kAllgatherv,
   kScatter,
   kScatterv,
-  kIallreduce,
-  kIbarrier,
   kReserveTags,
 };
 
@@ -111,13 +109,6 @@ struct WaitNeed {
   std::uint64_t ctx = 0;
   int src = -1;
   int tag = -1;
-};
-
-/// An outstanding nonblocking collective's user buffer, for aliasing checks.
-struct BufferRange {
-  const void* data = nullptr;
-  std::size_t bytes = 0;
-  int tag = 0;
 };
 
 /// Per-world checker state.  One instance per WorldContext; all methods are
@@ -180,10 +171,8 @@ class WorldChecker {
   // ---- 2. wait-for-graph deadlock detection --------------------------
 
   /// Declare that `worldRank` is (about to be) blocked until one of `needs`
-  /// arrives, then run deadlock detection.  Overwrites any previous wait of
-  /// the same rank (nonblocking-collective waits refresh their needs as ops
-  /// progress).  Throws when the rank belongs to a closed set of waiters
-  /// none of whom can be satisfied.
+  /// arrives, then run deadlock detection.  Throws when the rank belongs to
+  /// a closed set of waiters none of whom can be satisfied.
   void beginWait(int worldRank, const char* what, std::vector<WaitNeed> needs);
 
   /// The rank is no longer blocked.
@@ -200,7 +189,7 @@ class WorldChecker {
   /// carries NO_THREAD_SAFETY_ANALYSIS with this reason.
   void noteWaitSatisfied(int worldRank);
 
-  // ---- 3. tag-space and handle lint ----------------------------------
+  // ---- 3. tag-space lint ---------------------------------------------
 
   /// Lint one point-to-point send.  Throws for tags outside the tag space
   /// and for tags in the collective-internal range that were neither
@@ -208,20 +197,7 @@ class WorldChecker {
   void onSend(std::uint64_t ctx, int localRank, int worldRank, int dest,
               int tag);
 
-  /// A nonblocking collective started with user buffer [data, data+bytes);
-  /// `outstanding` holds the user buffers of the rank's other in-flight
-  /// ops.  Throws if the new buffer overlaps one of them.
-  void onNonblockingStart(int worldRank, int tag, const void* data,
-                          std::size_t bytes,
-                          const std::vector<BufferRange>& outstanding);
-
-  /// A CollHandle was destroyed (or its op completed); `completed` is the
-  /// op's final state, `stepsLeft` the unexecuted schedule steps.
-  void onNonblockingEnd(int worldRank, int tag, bool completed,
-                        std::size_t stepsLeft);
-
-  /// The rank's World::run body returned cleanly.  Throws if the rank still
-  /// holds live (never-destroyed) CollHandles, then marks the rank exited
+  /// The rank's World::run body returned cleanly.  Marks the rank exited
   /// and re-runs deadlock detection on behalf of the survivors: a rank
   /// blocked on an exited peer can never be satisfied.
   void onRankExit(int worldRank);
@@ -260,12 +236,6 @@ class WorldChecker {
     int firstTag = 0;
     int count = 0;
   };
-  struct RankHandles {
-    std::vector<int> liveTags;        ///< started, not yet destroyed
-    std::vector<int> abandonedTags;   ///< destroyed incomplete (documented-
-                                      ///< legal; reported when it strands)
-  };
-
   /// Deadlock analysis: compute the set of blocked ranks none of whom can
   /// be released (no satisfying message queued, every potential sender
   /// itself stuck or exited).  Throws, naming every member, if `aboutRank`
@@ -316,7 +286,6 @@ class WorldChecker {
   std::vector<std::array<SigRecord, 8>> history_ LISI_GUARDED_BY(mutex_);
   std::vector<std::size_t> historyPos_ LISI_GUARDED_BY(mutex_);
   std::vector<ReservedBlock> reserved_ LISI_GUARDED_BY(mutex_);
-  std::vector<RankHandles> handles_ LISI_GUARDED_BY(mutex_);
 };
 
 }  // namespace lisi::comm::check

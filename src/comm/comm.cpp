@@ -8,7 +8,6 @@
 #include <deque>
 #include <map>
 #include <mutex>
-#include <optional>
 #include <thread>
 #include <tuple>
 
@@ -106,9 +105,6 @@ struct Mailbox {
       LISI_ACQUIRED_AFTER(check::detail::gCheckerBeforeMailboxAnchor);
   std::condition_variable cv;
   std::deque<Envelope> queue LISI_GUARDED_BY(mutex);
-  /// Bumped on every deliver; lets a nonblocking-collective wait detect
-  /// arrivals that raced with its last progress sweep.
-  std::uint64_t deliveries LISI_GUARDED_BY(mutex) = 0;
 };
 
 /// State shared by every rank of one World::run invocation.
@@ -191,60 +187,8 @@ class WorldContext {
     {
       support::MutexLock lock(box.mutex);
       box.queue.push_back(std::move(env));
-      ++box.deliveries;
     }
     box.cv.notify_all();
-  }
-
-  /// Non-blocking matched receive: the message if one is queued, nothing
-  /// otherwise.  Used to drive nonblocking-collective progress.
-  std::optional<Envelope> tryReceive(int worldRank, std::uint64_t ctx, int src,
-                                     int tag) {
-    Mailbox& box = mailboxes_[static_cast<std::size_t>(worldRank)];
-    support::MutexLock lock(box.mutex);
-    checkAborted();
-    const auto it = std::find_if(box.queue.begin(), box.queue.end(),
-                                 [&](const Envelope& e) {
-                                   return e.ctx == ctx &&
-                                          (src == kAnySource || e.src == src) &&
-                                          (tag == kAnyTag || e.tag == tag);
-                                 });
-    if (it == box.queue.end()) return std::nullopt;
-    Envelope env = std::move(*it);
-    box.queue.erase(it);
-    return env;
-  }
-
-  /// Current delivery count of the rank's mailbox (for waitForDelivery).
-  [[nodiscard]] std::uint64_t deliveryCount(int worldRank) {
-    Mailbox& box = mailboxes_[static_cast<std::size_t>(worldRank)];
-    support::MutexLock lock(box.mutex);
-    return box.deliveries;
-  }
-
-  /// Block until the rank's mailbox has gained a message since `seen`
-  /// (updating `seen`), the world aborts, or the deadlock-guard timeout
-  /// fires.  The caller re-runs its progress sweep afterwards.
-  void waitForDelivery(int worldRank, std::uint64_t& seen) {
-    Mailbox& box = mailboxes_[static_cast<std::size_t>(worldRank)];
-    support::CondLock lock(box.mutex);
-    const auto deadline = std::chrono::steady_clock::now() +
-                          std::chrono::duration_cast<std::chrono::steady_clock::duration>(
-                              std::chrono::duration<double>(recvTimeoutSeconds()));
-    while (true) {
-      checkAborted();
-      if (box.deliveries != seen) {
-        seen = box.deliveries;
-        return;
-      }
-      if (box.cv.wait_until(lock.native(), deadline) == std::cv_status::timeout) {
-        abort("nonblocking collective wait timed out (possible deadlock): "
-              "world rank " +
-              std::to_string(worldRank) +
-              " has outstanding handles with no arriving messages");
-        checkAborted();
-      }
-    }
   }
 
   /// Blocking matched receive for `worldRank`.
@@ -421,216 +365,12 @@ struct CommState {
   /// rank of the context holds the same value (the setter is collective).
   int collectiveTagWindow = kDefaultCollectiveTagWindow;
 
-  /// This rank's outstanding nonblocking collectives on this communicator.
-  /// Rank-thread private (a CommState belongs to exactly one rank thread),
-  /// so no lock is needed.  Ops register at start and deregister when their
-  /// handle is destroyed; completed ops are no-ops in the progress sweep.
-  std::vector<CollOp*> pendingColl;
-
   [[nodiscard]] int worldRankOf(int localRank) const {
     return groupWorldRanks[static_cast<std::size_t>(localRank)];
   }
 };
 
-/// One in-flight nonblocking collective: a fixed schedule of send and
-/// receive steps executed in order.  Sends are buffered (they complete
-/// immediately); a receive step that finds no matching message parks the
-/// op until the next progress sweep.  The step program is exactly the
-/// blocking schedule of the same collective, so a completed iallreduce is
-/// bitwise identical to allreduce.
-class CollOp {
- public:
-  enum class StepKind : std::uint8_t {
-    kSend,         ///< send the accumulator to `peer`
-    kRecvCombine,  ///< receive into scratch, fold into the accumulator
-    kRecvReplace,  ///< receive straight into the accumulator
-    kRecvDiscard,  ///< receive and drop (barrier tokens)
-  };
-  struct Step {
-    StepKind kind;
-    int peer;
-  };
-  using CombineFn = void (*)(void*, const void*, std::size_t, ReduceOp);
-
-  CollOp(std::shared_ptr<CommState> state, int tag, std::vector<Step> steps,
-         void* acc, std::size_t bytes, std::size_t count, std::size_t elemSize,
-         ReduceOp op, CombineFn combine)
-      : state_(std::move(state)),
-        tag_(tag),
-        steps_(std::move(steps)),
-        acc_(static_cast<std::byte*>(acc)),
-        bytes_(bytes),
-        count_(count),
-        elemSize_(elemSize),
-        op_(op),
-        combine_(combine) {
-    if (acc_ == nullptr) {  // op-owned payload (barrier token)
-      own_.resize(bytes_ == 0 ? 1 : bytes_);
-      acc_ = own_.data();
-    }
-#ifdef LISI_COMM_CHECK
-    // Before the pendingColl registration: an aliasing diagnosis throws out
-    // of this constructor, and a registered-but-unconstructed op would
-    // dangle in the list.
-    if (auto* checker = state_->world->checker()) {
-      // An op's buffer stays its own until the handle retires it, even
-      // when a progress sweep has already run every step: the caller may
-      // not reuse it before wait()/test() reports completion.
-      std::vector<check::BufferRange> outstanding;
-      for (const CollOp* op : state_->pendingColl) {
-        if (op->retired_ || !op->own_.empty()) continue;  // op-owned tokens
-        outstanding.push_back({op->acc_, op->bytes_, op->tag_});
-      }
-      checker->onNonblockingStart(state_->worldRankOf(state_->myLocalRank),
-                                  tag_, own_.empty() ? acc_ : nullptr,
-                                  own_.empty() ? bytes_ : 0, outstanding);
-    }
-#endif
-    state_->pendingColl.push_back(this);
-  }
-
-  ~CollOp() {
-    auto& pending = state_->pendingColl;
-    const auto it = std::find(pending.begin(), pending.end(), this);
-    if (it != pending.end()) pending.erase(it);
-#ifdef LISI_COMM_CHECK
-    // During an abort every rank unwinds with whatever handles it had in
-    // flight; recording those as abandoned would only clutter the abort's
-    // own diagnostic.
-    if (auto* checker = state_->world->checker()) {
-      if (!state_->world->aborted()) {
-        checker->onNonblockingEnd(state_->worldRankOf(state_->myLocalRank),
-                                  tag_, done(), steps_.size() - next_);
-      }
-    }
-#endif
-  }
-
-  CollOp(const CollOp&) = delete;
-  CollOp& operator=(const CollOp&) = delete;
-
-  [[nodiscard]] bool done() const { return next_ >= steps_.size(); }
-
-  /// The handle observed completion (wait() returned, or test() said so):
-  /// from here on the caller owns the buffer again.
-  void retire() { retired_ = true; }
-
-  /// Execute steps until done or a receive finds no message; never blocks.
-  bool advance() {
-    while (next_ < steps_.size()) {
-      const Step& step = steps_[next_];
-      if (step.kind == StepKind::kSend) {
-        Envelope env;
-        env.ctx = state_->ctx;
-        env.src = state_->myLocalRank;
-        env.tag = tag_;
-        env.payload.assign(acc_, acc_ + bytes_);
-        state_->world->checkAborted();
-        obs::count("comm.send.count");
-        obs::count("comm.send.bytes", static_cast<long long>(bytes_));
-        state_->world->deliver(state_->worldRankOf(step.peer), std::move(env));
-        ++next_;
-        continue;
-      }
-      std::optional<Envelope> env = state_->world->tryReceive(
-          state_->worldRankOf(state_->myLocalRank), state_->ctx, step.peer,
-          tag_);
-      if (!env) return false;
-      obs::count("comm.recv.count");
-      obs::count("comm.recv.bytes", static_cast<long long>(env->payload.size()));
-      LISI_CHECK(env->payload.size() == bytes_,
-                 "nonblocking collective: payload size mismatch");
-      if (step.kind == StepKind::kRecvCombine) {
-        combine_(acc_, env->payload.data(), count_, op_);
-      } else if (step.kind == StepKind::kRecvReplace) {
-        std::memcpy(acc_, env->payload.data(), bytes_);
-      }
-      ++next_;
-    }
-    return true;
-  }
-
-  /// Sweep every outstanding op of this rank (on this communicator); ops
-  /// park independently, so later ops progress past earlier stalled ones —
-  /// that is what makes out-of-order wait()/test() deadlock-free.
-  static void progressAll(CommState& state) {
-    for (CollOp* op : state.pendingColl) (void)op->advance();
-  }
-
-  /// Block until this op completes, progressing all outstanding ops.
-  void waitDone() {
-    WorldContext& world = *state_->world;
-    const int worldRank = state_->worldRankOf(state_->myLocalRank);
-    std::uint64_t seen = world.deliveryCount(worldRank);
-    while (true) {
-      progressAll(*state_);
-      if (done()) return;
-#ifdef LISI_COMM_CHECK
-      if (auto* checker = world.checker()) {
-        // After progressAll every incomplete op is parked at a receive
-        // step; any of those arrivals unblocks the sweep, so they are all
-        // registered as this wait's needs (refreshed each time around —
-        // the parked steps move as ops progress).
-        std::vector<check::WaitNeed> needs;
-        for (const CollOp* op : state_->pendingColl) {
-          if (op->done()) continue;
-          needs.push_back(
-              {state_->ctx, op->steps_[op->next_].peer, op->tag_});
-        }
-        CheckedWaitScope waitScope(checker, worldRank,
-                                   "nonblocking collective wait",
-                                   std::move(needs));
-        world.waitForDelivery(worldRank, seen);
-        continue;
-      }
-#endif
-      world.waitForDelivery(worldRank, seen);
-    }
-  }
-
-  [[nodiscard]] CommState& state() { return *state_; }
-
- private:
-  std::shared_ptr<CommState> state_;
-  int tag_;
-  std::vector<Step> steps_;
-  std::size_t next_ = 0;
-  bool retired_ = false;            ///< completion observed through the handle
-  std::byte* acc_;                  ///< caller's out buffer (or the token)
-  std::size_t bytes_;               ///< payload bytes per message
-  std::size_t count_;               ///< element count (for combine)
-  std::size_t elemSize_;
-  ReduceOp op_;
-  CombineFn combine_;           ///< null for barrier programs
-  std::vector<std::byte> own_;  ///< backs acc_ when the op owns the payload
-};
-
 }  // namespace detail
-
-CollHandle::CollHandle(std::unique_ptr<detail::CollOp> op)
-    : op_(std::move(op)) {}
-
-// Out of line: the defaulted special members destroy the held CollOp, which
-// is an incomplete type for header-only users.
-CollHandle::CollHandle() = default;
-CollHandle::CollHandle(CollHandle&&) noexcept = default;
-CollHandle& CollHandle::operator=(CollHandle&&) noexcept = default;
-CollHandle::~CollHandle() = default;
-
-bool CollHandle::test() {
-  LISI_CHECK(valid(), "test() on an empty CollHandle");
-  detail::CollOp::progressAll(op_->state());
-  if (!op_->done()) return false;
-  op_->retire();
-  return true;
-}
-
-void CollHandle::wait() {
-  LISI_CHECK(valid(), "wait() on an empty CollHandle");
-  obs::Span span("coll.wait");
-  op_->waitDone();
-  op_->retire();
-}
 
 int Comm::rank() const {
   LISI_CHECK(valid(), "rank() on an invalid communicator");
@@ -1044,107 +784,6 @@ void Comm::allreduceBytes(const void* in, void* out, std::size_t count,
   }
 }
 
-CollHandle Comm::iallreduceBytes(
-    const void* in, void* out, std::size_t count, std::size_t elemSize,
-    ReduceOp op,
-    void (*combine)(void*, const void*, std::size_t, ReduceOp)) const {
-  // Same step sequences as allreduceBytes (see the schedule notes there),
-  // recorded as a program instead of executed inline, so a completed
-  // iallreduce is bitwise identical to the blocking call.  One fresh
-  // collective tag per handle keeps overlapping iallreduces (and any
-  // blocking collectives issued while this one is in flight) from
-  // cross-matching.
-  const std::size_t bytes = count * elemSize;
-  const int tag = nextCollectiveTag(check::CollKind::kIallreduce, -1,
-                                    static_cast<std::uint64_t>(bytes),
-                                    static_cast<int>(op));
-  obs::count("coll.iallreduce.start");
-  const int p = size();
-  if (bytes != 0 && out != in) std::memcpy(out, in, bytes);
-  using Step = detail::CollOp::Step;
-  using K = detail::CollOp::StepKind;
-  std::vector<Step> steps;
-  if (p > 1 && bytes != 0) {
-    const int r = rank();
-    if (!detail::useTreeSchedule(*state_, p)) {
-      if (r == 0) {
-        for (int q = 1; q < p; ++q) steps.push_back({K::kRecvCombine, q});
-        for (int q = 1; q < p; ++q) steps.push_back({K::kSend, q});
-      } else {
-        steps.push_back({K::kSend, 0});
-        steps.push_back({K::kRecvReplace, 0});
-      }
-    } else {
-      int pof2 = 1;
-      while (pof2 * 2 <= p) pof2 *= 2;
-      const int rem = p - pof2;
-      int coreRank;
-      if (r < 2 * rem) {
-        if (r % 2 == 0) {
-          steps.push_back({K::kSend, r + 1});
-          coreRank = -1;
-        } else {
-          steps.push_back({K::kRecvCombine, r - 1});
-          coreRank = r / 2;
-        }
-      } else {
-        coreRank = r - rem;
-      }
-      if (coreRank >= 0) {
-        for (int mask = 1; mask < pof2; mask <<= 1) {
-          const int partnerCore = coreRank ^ mask;
-          const int partner =
-              partnerCore < rem ? partnerCore * 2 + 1 : partnerCore + rem;
-          steps.push_back({K::kSend, partner});
-          steps.push_back({K::kRecvCombine, partner});
-        }
-      }
-      if (r < 2 * rem) {
-        steps.push_back(r % 2 == 1 ? Step{K::kSend, r - 1}
-                                   : Step{K::kRecvReplace, r + 1});
-      }
-    }
-  }
-  auto collOp = std::make_unique<detail::CollOp>(
-      state_, tag, std::move(steps), out, bytes, count, elemSize, op, combine);
-  (void)collOp->advance();  // post the leading sends before returning
-  return CollHandle(std::move(collOp));
-}
-
-CollHandle Comm::ibarrier() const {
-  // Dissemination rounds (tree family) or token gather/release via rank 0
-  // (star family) — the same patterns as Comm::barrier, recorded as a
-  // program.  The token lives inside the op (acc == nullptr).
-  const int tag = nextCollectiveTag(check::CollKind::kIbarrier, -1, 0);
-  obs::count("coll.ibarrier.start");
-  const int p = size();
-  using Step = detail::CollOp::Step;
-  using K = detail::CollOp::StepKind;
-  std::vector<Step> steps;
-  if (p > 1) {
-    const int r = rank();
-    if (!detail::useTreeSchedule(*state_, p)) {
-      if (r == 0) {
-        for (int q = 1; q < p; ++q) steps.push_back({K::kRecvDiscard, q});
-        for (int q = 1; q < p; ++q) steps.push_back({K::kSend, q});
-      } else {
-        steps.push_back({K::kSend, 0});
-        steps.push_back({K::kRecvDiscard, 0});
-      }
-    } else {
-      for (int m = 1; m < p; m <<= 1) {
-        steps.push_back({K::kSend, (r + m) % p});
-        steps.push_back({K::kRecvDiscard, (r - m + p) % p});
-      }
-    }
-  }
-  auto collOp = std::make_unique<detail::CollOp>(
-      state_, tag, std::move(steps), nullptr, 1, 0, 0, ReduceOp::kSum,
-      nullptr);
-  (void)collOp->advance();
-  return CollHandle(std::move(collOp));
-}
-
 Comm Comm::split(int color, int key) const {
   LISI_CHECK(valid(), "split() on an invalid communicator");
   struct Triple {
@@ -1214,7 +853,7 @@ void World::run(int nranks, const std::function<void(Comm&)>& body) {
       try {
         body(comm);
 #ifdef LISI_COMM_CHECK
-        // Inside the try: a leak/strand diagnosis from the exit sweep is a
+        // Inside the try: a strand diagnosis from the exit sweep is a
         // rank failure like any other, so firstFailedRank makes the report
         // the exception World::run rethrows.
         if (auto* checker = world->checker()) {

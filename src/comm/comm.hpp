@@ -94,58 +94,6 @@ struct Status {
   std::size_t bytes = 0;     ///< Payload size in bytes.
 };
 
-namespace detail {
-class WorldContext;
-struct CommState;
-class CollOp;
-}  // namespace detail
-
-/// Completion handle for a nonblocking collective (iallreduce / ibarrier).
-///
-/// MiniMPI has no progress thread: a nonblocking collective advances only
-/// inside test() / wait() (and one eager step at start time, which posts the
-/// leading sends).  test()/wait() drive *every* outstanding nonblocking
-/// collective of the calling rank on the same communicator, not just this
-/// handle's, so handles may be completed in any order without deadlock.
-///
-/// Rules (MPI-like):
-///   * All ranks must start the same nonblocking collectives in the same
-///     order (each start draws one collective-sequence tag in lockstep).
-///   * Every rank must eventually complete every handle; a rank that
-///     abandons one strands its peers (the recv-timeout guard then aborts
-///     the world instead of hanging it).
-///   * The `out` buffer belongs to the operation until completion; reading
-///     or writing it earlier is undefined.
-///   * A handle is owned by the rank thread that started it — like the
-///     Comm it came from, it must not be shared across rank threads.
-class CollHandle {
- public:
-  CollHandle();
-  CollHandle(CollHandle&&) noexcept;
-  CollHandle& operator=(CollHandle&&) noexcept;
-  CollHandle(const CollHandle&) = delete;
-  CollHandle& operator=(const CollHandle&) = delete;
-  /// Destroying an incomplete handle deregisters it without blocking (the
-  /// operation is considered abandoned; see class comment).
-  ~CollHandle();
-
-  /// Advance this rank's outstanding collectives without blocking; true
-  /// once this handle's operation has completed (idempotent afterwards).
-  [[nodiscard]] bool test();
-
-  /// Block until this handle's operation completes, progressing all of the
-  /// rank's outstanding collectives while waiting.
-  void wait();
-
-  /// True if this handle denotes a started (possibly completed) operation.
-  [[nodiscard]] bool valid() const { return op_ != nullptr; }
-
- private:
-  friend class Comm;
-  explicit CollHandle(std::unique_ptr<detail::CollOp> op);
-  std::unique_ptr<detail::CollOp> op_;
-};
-
 /// Communicator handle.  Cheap to copy; all copies denote the same
 /// communication context (like an MPI_Comm).  Obtained from World::run,
 /// split(), or dup() — never default-constructed into a usable state.
@@ -251,20 +199,6 @@ class Comm {
     return out;
   }
 
-  // ---- Nonblocking collectives (same ordering rules; see CollHandle) ---
-
-  /// Start an allreduce; `in` is read (and copied into `out`) at call time,
-  /// `out` receives the result by completion and must stay alive and
-  /// untouched until then.  Runs the same schedule as the blocking
-  /// allreduce, so the completed `out` is bitwise identical to it.
-  template <class T>
-  [[nodiscard]] CollHandle iallreduce(std::span<const T> in, std::span<T> out,
-                                      ReduceOp op) const;
-
-  /// Start a barrier; completes once every rank has started it and driven
-  /// its own handle far enough (dissemination or star schedule).
-  [[nodiscard]] CollHandle ibarrier() const;
-
   /// Fixed-size gather: every rank contributes `in` (same length everywhere);
   /// on root, `out` must have size()*in.size() elements, laid out by rank.
   /// Fast path: receives land directly in `out` (no per-rank staging).
@@ -360,10 +294,6 @@ class Comm {
   explicit Comm(std::shared_ptr<detail::CommState> state)
       : state_(std::move(state)) {}
 
-  [[nodiscard]] CollHandle iallreduceBytes(
-      const void* in, void* out, std::size_t count, std::size_t elemSize,
-      ReduceOp op,
-      void (*combine)(void*, const void*, std::size_t, ReduceOp)) const;
   void bcastBytes(void* data, std::size_t n, int root) const;
   void reduceBytes(const void* in, void* out, std::size_t count,
                    std::size_t elemSize, ReduceOp op, int root,
@@ -429,15 +359,6 @@ void Comm::allreduce(std::span<const T> in, std::span<T> out,
   LISI_CHECK(out.size() == in.size(), "allreduce: out size mismatch");
   allreduceBytes(in.data(), out.data(), in.size(), sizeof(T), op,
                  &detail::combineElems<T>);
-}
-
-template <class T>
-CollHandle Comm::iallreduce(std::span<const T> in, std::span<T> out,
-                            ReduceOp op) const {
-  static_assert(std::is_trivially_copyable_v<T>);
-  LISI_CHECK(out.size() == in.size(), "iallreduce: out size mismatch");
-  return iallreduceBytes(in.data(), out.data(), in.size(), sizeof(T), op,
-                         &detail::combineElems<T>);
 }
 
 template <class T>

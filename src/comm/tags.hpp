@@ -10,8 +10,8 @@
 //     below fail the build on overlap).
 //   * Collective-internal tags `(kMaxUserTag, kMaxUserTag + 2^20]` — drawn
 //     from a per-communicator sequence that all ranks advance in lockstep:
-//     one per blocking collective step, one per nonblocking collective
-//     handle, and `Comm::reserveCollectiveTags()` blocks for long-lived
+//     one per collective stage (the star allreduce, a reduce then a bcast,
+//     draws two), and `Comm::reserveCollectiveTags()` blocks for long-lived
 //     protocols (e.g. a matrix's rotating spmv halo tags).  Never hard-code
 //     a value in this range.
 //

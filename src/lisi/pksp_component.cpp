@@ -19,8 +19,7 @@ class PkspSolverPort final : public detail::SolverComponentBase {
 
   bool acceptsParam(const std::string& key) const override {
     return SolverComponentBase::acceptsParam(key) || key == "restart" ||
-           key == "sor_omega" || key == "sor_sweeps" ||
-           key == "pksp_pipeline";
+           key == "sor_omega" || key == "sor_sweeps";
   }
 
   int backendSolve(const detail::SolveContext& ctx, std::span<const double> b,
@@ -83,18 +82,6 @@ class PkspSolverPort final : public detail::SolverComponentBase {
     }
     KSPSetInitialGuessNonzero(ksp_, paramBool("use_initial_guess", false));
     KSPSetReusePreconditioner(ksp_, paramBool("reuse_preconditioner", false));
-
-    // Communication-hiding Krylov loops (pksp-specific extension; the LISI
-    // application code is unchanged — it only flips this parameter).
-    const std::string pipe = toLower(paramString("pksp_pipeline", "off"));
-    PkspPipelineMode pipeMode = PKSP_PIPELINE_OFF;
-    if (pipe == "auto") pipeMode = PKSP_PIPELINE_AUTO;
-    else if (pipe == "on" || pipe == "true" || pipe == "1" || pipe == "yes")
-      pipeMode = PKSP_PIPELINE_ON;
-    else if (pipe == "off" || pipe == "false" || pipe == "0" || pipe == "no")
-      pipeMode = PKSP_PIPELINE_OFF;
-    else return static_cast<int>(ErrorCode::kInvalidArgument);
-    KSPSetPipeline(ksp_, pipeMode);
 
     // Mixed precision (solver_base resolved the "precision" parameter /
     // LISI_PRECISION): float32 SOR/ILU(0) preconditioner application under

@@ -30,7 +30,6 @@ struct PkspSolver {
   int sorSweeps = 1;
   bool nonzeroGuess = false;
   bool reusePc = false;
-  PkspPipelineMode pipeline = PKSP_PIPELINE_OFF;
   PkspPrecision precision = PKSP_PRECISION_DOUBLE;
 
   // Built lazily at solve time (the operator may change between solves).
@@ -101,17 +100,6 @@ const char* typeName(PkspType t) {
     case PKSP_BICGSTAB: return "bicgstab";
   }
   return "?";
-}
-
-/// Resolve the effective pipelining decision for this solve.  AUTO enables
-/// the communication-hiding loops only when there is communication to hide.
-bool usePipelined(const PkspSolver& ksp) {
-  switch (ksp.pipeline) {
-    case PKSP_PIPELINE_OFF: return false;
-    case PKSP_PIPELINE_ON: return true;
-    case PKSP_PIPELINE_AUTO: return ksp.comm.size() > 1;
-  }
-  return false;
 }
 
 /// Lazy preconditioner setup shared by KSPSolve and KSPSolveMulti: full
@@ -280,18 +268,6 @@ int KSPSetReusePreconditioner(KSP ksp, bool flag) {
   return PKSP_SUCCESS;
 }
 
-int KSPSetPipeline(KSP ksp, PkspPipelineMode mode) {
-  if (guard(ksp) != PKSP_SUCCESS) return PKSP_ERR_ARG;
-  switch (mode) {
-    case PKSP_PIPELINE_OFF:
-    case PKSP_PIPELINE_ON:
-    case PKSP_PIPELINE_AUTO:
-      ksp->pipeline = mode;
-      return PKSP_SUCCESS;
-  }
-  return PKSP_ERR_ARG;
-}
-
 int KSPSetPrecision(KSP ksp, PkspPrecision precision) {
   if (guard(ksp) != PKSP_SUCCESS) return PKSP_ERR_ARG;
   switch (precision) {
@@ -366,15 +342,6 @@ int KSPSetFromString(KSP ksp, const char* options) {
       } else {
         return PKSP_ERR_UNSUPPORTED;
       }
-    } else if (key == "-ksp_pipeline") {
-      const std::string v = lisi::toLower(value());
-      if (v == "auto") {
-        KSPSetPipeline(ksp, PKSP_PIPELINE_AUTO);
-      } else if (const auto flag = lisi::parseBool(v)) {
-        KSPSetPipeline(ksp, *flag ? PKSP_PIPELINE_ON : PKSP_PIPELINE_OFF);
-      } else {
-        return PKSP_ERR_ARG;
-      }
     } else {
       return PKSP_ERR_UNSUPPORTED;
     }
@@ -414,7 +381,6 @@ int KSPSolve(KSP ksp, std::span<const double> bLocal,
     if (ksp->monitor) ksp->monitor(ksp->monitorCtx, iteration, rnorm);
   };
 
-  const bool pipelined = usePipelined(*ksp);
   try {
     lisi::obs::Span iterSpan("pksp.iterate");
     // Mixed precision: the float32 preconditioner apply is not exactly
@@ -446,11 +412,8 @@ int KSPSolve(KSP ksp, std::span<const double> bLocal,
     for (int round = 0;; ++round) {
       switch (ksp->type) {
         case PKSP_CG:
-          ksp->lastReport =
-              pipelined ? detail::runPipelinedCg(ksp->comm, *ksp->op, *ksp->pc,
-                                                 bLocal, xLocal, roundTol)
-                        : detail::runCg(ksp->comm, *ksp->op, *ksp->pc, bLocal,
-                                        xLocal, roundTol);
+          ksp->lastReport = detail::runCg(ksp->comm, *ksp->op, *ksp->pc,
+                                          bLocal, xLocal, roundTol);
           break;
         case PKSP_GMRES:
           ksp->lastReport =
@@ -458,12 +421,9 @@ int KSPSolve(KSP ksp, std::span<const double> bLocal,
                                roundTol, ksp->restart);
           break;
         case PKSP_BICGSTAB:
-          ksp->lastReport =
-              pipelined ? detail::runPipelinedBiCgStab(ksp->comm, *ksp->op,
-                                                       *ksp->pc, bLocal,
-                                                       xLocal, roundTol)
-                        : detail::runBiCgStab(ksp->comm, *ksp->op, *ksp->pc,
-                                              bLocal, xLocal, roundTol);
+          ksp->lastReport = detail::runBiCgStab(ksp->comm, *ksp->op,
+                                                *ksp->pc, bLocal, xLocal,
+                                                roundTol);
           break;
         case PKSP_RICHARDSON:
           ksp->lastReport = detail::runRichardson(ksp->comm, *ksp->op,
@@ -476,8 +436,7 @@ int KSPSolve(KSP ksp, std::span<const double> bLocal,
       totalIters += ksp->lastReport.iterations;
       // Recompute both diagnostic residuals against the iterate actually
       // returned in x.  The norm tracked inside the Krylov loops is carried
-      // by recurrences (and, in the pipelined variants, evaluated one
-      // reduction early), so at convergence it can be slightly stale
+      // by recurrences, so at convergence it can be slightly stale
       // relative to the final iterate; recomputing keeps KSPGetResidualNorm
       // and the recorded report consistent with x.  Both lanes share one
       // fused reduction, and the unpreconditioned lane is bitwise identical
@@ -666,11 +625,6 @@ int KSPGetDescription(KSP ksp, std::string* description) {
   std::ostringstream os;
   os << typeName(ksp->type);
   if (ksp->type == PKSP_GMRES) os << '(' << ksp->restart << ')';
-  if (ksp->pipeline != PKSP_PIPELINE_OFF &&
-      (ksp->type == PKSP_CG || ksp->type == PKSP_BICGSTAB)) {
-    os << "[pipelined" << (ksp->pipeline == PKSP_PIPELINE_AUTO ? ":auto" : "")
-       << ']';
-  }
   os << '+' << pcName(ksp->pcType);
   if (ksp->precision == PKSP_PRECISION_MIXED) os << "[fp32]";
   os << " rtol=" << ksp->tol.rtol

@@ -44,20 +44,6 @@ enum PkspType : int {
   PKSP_BICGSTAB = 3,
 };
 
-/// Communication-pipelining selection for the Krylov loops (CG, BiCGSTAB).
-/// Pipelined variants (Ghysels–Vanroose style) restructure the iteration so
-/// the global reduction overlaps the SpMV + preconditioner work instead of
-/// serializing against it; iterates match the classic loops to rounding
-/// (identical in exact arithmetic), not bitwise.  AUTO enables pipelining
-/// whenever the communicator has more than one rank (single-rank reductions
-/// have nothing to hide).  Methods without a pipelined variant (GMRES,
-/// Richardson) ignore the setting.
-enum PkspPipelineMode : int {
-  PKSP_PIPELINE_OFF = 0,
-  PKSP_PIPELINE_ON = 1,
-  PKSP_PIPELINE_AUTO = 2,
-};
-
 /// Preconditioner application precision.  MIXED stores the preconditioner
 /// operators (SOR block values, ILU(0) factors) in float32 and applies them
 /// in float32 arithmetic, halving the value bytes each apply streams; the
@@ -167,10 +153,6 @@ int KSPSetInitialGuessNonzero(KSP ksp, bool flag);
 /// it follows them either way.  Default: refresh or rebuild on change.
 int KSPSetReusePreconditioner(KSP ksp, bool flag);
 
-/// Select pipelined (communication-hiding) Krylov loops for CG/BiCGSTAB
-/// (default: off).  See PkspPipelineMode.
-int KSPSetPipeline(KSP ksp, PkspPipelineMode mode);
-
 /// Select the preconditioner application precision (default: double).
 /// Marks the preconditioner stale: the next solve rebuilds it with the
 /// requested storage.  See PkspPrecision.
@@ -178,7 +160,7 @@ int KSPSetPrecision(KSP ksp, PkspPrecision precision);
 
 /// PETSc-options-style configuration string, e.g.
 ///   "-ksp_type gmres -pc_type ilu -ksp_rtol 1e-8 -ksp_max_it 500
-///    -ksp_gmres_restart 40 -ksp_pipeline auto"
+///    -ksp_gmres_restart 40"
 /// Unknown keys are reported with PKSP_ERR_UNSUPPORTED.
 int KSPSetFromString(KSP ksp, const char* options);
 

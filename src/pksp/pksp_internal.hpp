@@ -175,20 +175,6 @@ SolveReport runRichardson(const lisi::comm::Comm& comm,
                           std::span<const double> b, std::span<double> x,
                           const Tolerances& tol);
 
-// Communication-hiding variants (pksp_pipelined.cpp): one (CG) or two
-// (BiCGStab) fused split-phase reductions per iteration, each overlapped
-// with the SpMV/preconditioner work of the same iteration.  Same
-// convergence criterion and monitor cadence as the classic loops.
-SolveReport runPipelinedCg(const lisi::comm::Comm& comm,
-                           const LinearOperator& a, const Preconditioner& m,
-                           std::span<const double> b, std::span<double> x,
-                           const Tolerances& tol);
-SolveReport runPipelinedBiCgStab(const lisi::comm::Comm& comm,
-                                 const LinearOperator& a,
-                                 const Preconditioner& m,
-                                 std::span<const double> b,
-                                 std::span<double> x, const Tolerances& tol);
-
 // Blocked multi-RHS kernels (pksp_blocked.cpp): solve A X = B for nRhs
 // right-hand sides in lockstep over an assembled operator.  b/x are
 // vector-major (lane v occupies [v*n, (v+1)*n)).  One spmvMulti halo

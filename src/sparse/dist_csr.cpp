@@ -946,50 +946,4 @@ double maxpy(std::span<double> w, std::span<const double> coeffs,
   }
 }
 
-PendingDots distDotsBegin(const comm::Comm& comm,
-                          std::span<const DotArgs> dots) {
-  PendingDots pending;
-  pending.buf_ = std::make_unique<PendingDots::Buf>();
-  auto& buf = *pending.buf_;
-  buf.local.resize(dots.size());
-  buf.global.resize(dots.size());
-  localDots(dots, buf.local.data());
-  pending.handle_ = comm.iallreduce(std::span<const double>(buf.local),
-                                    std::span<double>(buf.global),
-                                    comm::ReduceOp::kSum);
-  return pending;
-}
-
-std::span<const double> distDotsEnd(PendingDots& pending) {
-  LISI_CHECK(pending.valid(), "distDotsEnd: no batch in flight");
-  pending.handle_.wait();
-  return std::span<const double>(pending.buf_->global);
-}
-
-PendingDots distDotBegin(const comm::Comm& comm, std::span<const double> x,
-                         std::span<const double> y) {
-  const DotArgs lane{x, y};
-  return distDotsBegin(comm, std::span<const DotArgs>(&lane, 1));
-}
-
-double distDotEnd(PendingDots& pending) {
-  const std::span<const double> r = distDotsEnd(pending);
-  LISI_CHECK(r.size() == 1, "distDotEnd: batch is not single-lane");
-  return r[0];
-}
-
-PendingDots distDot2Begin(const comm::Comm& comm, std::span<const double> x1,
-                          std::span<const double> y1,
-                          std::span<const double> x2,
-                          std::span<const double> y2) {
-  const std::array<DotArgs, 2> lanes{DotArgs{x1, y1}, DotArgs{x2, y2}};
-  return distDotsBegin(comm, std::span<const DotArgs>(lanes));
-}
-
-std::array<double, 2> distDot2End(PendingDots& pending) {
-  const std::span<const double> r = distDotsEnd(pending);
-  LISI_CHECK(r.size() == 2, "distDot2End: batch is not two-lane");
-  return {r[0], r[1]};
-}
-
 }  // namespace lisi::sparse

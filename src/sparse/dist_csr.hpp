@@ -25,7 +25,6 @@
 #pragma once
 
 #include <array>
-#include <memory>
 #include <span>
 #include <vector>
 
@@ -381,74 +380,5 @@ inline constexpr double kCgsReorthRatio = 1e-3;
 /// pass: bitwise the local partial distDot(w, w) would compute.
 double maxpy(std::span<double> w, std::span<const double> coeffs,
              std::span<const std::span<const double>> ys);
-
-// ---- Split-phase (latency-hiding) dot products -------------------------
-//
-// distDotsBegin computes the local partial sums and starts ONE fused
-// nonblocking allreduce over all lanes; the caller overlaps useful work
-// (SpMV, preconditioner application) and collects the results with
-// distDotsEnd.  Each lane is bitwise identical to the corresponding
-// blocking distDot/distDot2/distDots lane: the local partials come from
-// the same kernel as distDots and the elementwise reduction schedule is
-// the same, only the waiting moves.
-// Like every collective, all ranks must begin the same dot batches in the
-// same order.
-
-/// In-flight fused dot batch.  Move-only; results land in an internally
-/// owned buffer whose address is stable across moves, so a PendingDots can
-/// be returned from helpers and stored freely while the reduction runs.
-class PendingDots {
- public:
-  PendingDots() = default;
-  PendingDots(PendingDots&&) noexcept = default;
-  PendingDots& operator=(PendingDots&&) noexcept = default;
-
-  /// Poke collective progress without blocking; true once results are in.
-  /// Call this between overlapped work items to drive middle schedule
-  /// rounds (MiniMPI has no progress thread).
-  [[nodiscard]] bool test() { return handle_.test(); }
-
-  /// True if this object holds a started (possibly finished) batch.
-  [[nodiscard]] bool valid() const { return handle_.valid(); }
-
- private:
-  friend PendingDots distDotsBegin(const comm::Comm&,
-                                   std::span<const DotArgs>);
-  friend std::span<const double> distDotsEnd(PendingDots&);
-
-  struct Buf {
-    std::vector<double> local;
-    std::vector<double> global;
-  };
-  std::unique_ptr<Buf> buf_;  ///< heap: the collective writes into global
-  comm::CollHandle handle_;
-};
-
-/// Start a fused batch of global dot products (one lane per entry).
-[[nodiscard]] PendingDots distDotsBegin(const comm::Comm& comm,
-                                        std::span<const DotArgs> dots);
-
-/// Finish a batch: wait for the reduction and return the per-lane results.
-/// The span points into `pending` and stays valid until it is destroyed or
-/// reused.
-std::span<const double> distDotsEnd(PendingDots& pending);
-
-/// Single-lane convenience: begin sum_i x[i]*y[i].
-[[nodiscard]] PendingDots distDotBegin(const comm::Comm& comm,
-                                       std::span<const double> x,
-                                       std::span<const double> y);
-
-/// Finish a single-lane begin.
-[[nodiscard]] double distDotEnd(PendingDots& pending);
-
-/// Fused two-lane variant, split-phase twin of distDot2.
-[[nodiscard]] PendingDots distDot2Begin(const comm::Comm& comm,
-                                        std::span<const double> x1,
-                                        std::span<const double> y1,
-                                        std::span<const double> x2,
-                                        std::span<const double> y2);
-
-/// Finish a two-lane begin.
-[[nodiscard]] std::array<double, 2> distDot2End(PendingDots& pending);
 
 }  // namespace lisi::sparse

@@ -204,8 +204,6 @@ void VbrMatrixT<V>::check() const {
 template struct CsrMatrixT<double>;
 template struct CsrMatrixT<float>;
 template struct CscMatrixT<double>;
-template struct CscMatrixT<float>;
 template struct VbrMatrixT<double>;
-template struct VbrMatrixT<float>;
 
 }  // namespace lisi::sparse

@@ -87,7 +87,6 @@ struct CscMatrixT {
   void check() const;
 };
 using CscMatrix = CscMatrixT<double>;
-using CscMatrixF = CscMatrixT<float>;
 
 /// Modified sparse row (SPARSKIT/Aztec style), square matrices only:
 ///   val[0..n-1]   diagonal entries,
@@ -137,15 +136,13 @@ struct VbrMatrixT {
   void check() const;
 };
 using VbrMatrix = VbrMatrixT<double>;
-using VbrMatrixF = VbrMatrixT<float>;
 
 // The templated member functions are defined in formats.cpp and explicitly
-// instantiated for double and float — the only scalars the kernels use.
+// instantiated for the scalars the kernels use: double everywhere, and float
+// for the CSR copies that mixed-precision preconditioners store.
 extern template struct CsrMatrixT<double>;
 extern template struct CsrMatrixT<float>;
 extern template struct CscMatrixT<double>;
-extern template struct CscMatrixT<float>;
 extern template struct VbrMatrixT<double>;
-extern template struct VbrMatrixT<float>;
 
 }  // namespace lisi::sparse

@@ -33,7 +33,6 @@ void spmv(const MsrMatrix& a, std::span<const double> x, std::span<double> y);
 
 /// y = A*x for VBR.
 void spmv(const VbrMatrix& a, std::span<const double> x, std::span<double> y);
-void spmv(const VbrMatrixF& a, std::span<const float> x, std::span<float> y);
 
 /// Explicit transpose of a CSR matrix (canonical output).
 [[nodiscard]] CsrMatrix transpose(const CsrMatrix& a);

@@ -411,166 +411,6 @@ TEST_P(ScheduleP, FamiliesAgreeOnIntegerReductions) {
 
 INSTANTIATE_TEST_SUITE_P(Sizes, ScheduleP, ::testing::Values(1, 2, 3, 5, 8));
 
-class NonblockingP : public ::testing::TestWithParam<int> {};
-
-TEST_P(NonblockingP, IallreduceMatchesBlockingBitwise) {
-  const int p = GetParam();
-  for (const CollectiveSchedule sched :
-       {CollectiveSchedule::kTree, CollectiveSchedule::kStar}) {
-    ScheduleGuard guard(sched);
-    World::run(p, [&](Comm& c) {
-      // Irrational-ish per-rank values so association order shows up in the
-      // last bits; the nonblocking schedule must replay the blocking one
-      // exactly.
-      std::vector<double> in(5);
-      for (std::size_t i = 0; i < in.size(); ++i) {
-        in[i] = std::sqrt(2.0 + c.rank()) / (1.0 + static_cast<double>(i));
-      }
-      std::vector<double> blocking(in.size());
-      c.allreduce(std::span<const double>(in), std::span<double>(blocking),
-                  ReduceOp::kSum);
-      std::vector<double> nonblocking(in.size());
-      CollHandle h = c.iallreduce(std::span<const double>(in),
-                                  std::span<double>(nonblocking),
-                                  ReduceOp::kSum);
-      h.wait();
-      for (std::size_t i = 0; i < in.size(); ++i) {
-        EXPECT_EQ(blocking[i], nonblocking[i]);  // bitwise, not almost-equal
-      }
-    });
-  }
-}
-
-TEST_P(NonblockingP, IbarrierReleasesEveryRank) {
-  const int p = GetParam();
-  for (const CollectiveSchedule sched :
-       {CollectiveSchedule::kTree, CollectiveSchedule::kStar}) {
-    ScheduleGuard guard(sched);
-    std::atomic<int> entered{0};
-    World::run(p, [&](Comm& c) {
-      entered.fetch_add(1);
-      CollHandle h = c.ibarrier();
-      h.wait();
-      EXPECT_EQ(entered.load(), p);
-      c.barrier();
-      entered.store(0);
-      c.barrier();
-    });
-  }
-}
-
-TEST_P(NonblockingP, OutOfOrderWaitManyOutstanding) {
-  // Start a pile of iallreduces, then wait on them in reverse order. Any
-  // wait() must drive progress of every outstanding handle of the rank, or
-  // rank A (waiting on the last handle) deadlocks against rank B (waiting
-  // on the first).
-  const int p = GetParam();
-  constexpr int kHandles = 24;
-  for (const CollectiveSchedule sched :
-       {CollectiveSchedule::kTree, CollectiveSchedule::kStar}) {
-    ScheduleGuard guard(sched);
-    World::run(p, [&](Comm& c) {
-      std::vector<long> in(kHandles);
-      std::vector<long> out(kHandles, -1);
-      std::vector<CollHandle> handles;
-      handles.reserve(kHandles);
-      for (int k = 0; k < kHandles; ++k) {
-        in[static_cast<std::size_t>(k)] = static_cast<long>(c.rank()) + k;
-        handles.push_back(c.iallreduce(
-            std::span<const long>(&in[static_cast<std::size_t>(k)], 1),
-            std::span<long>(&out[static_cast<std::size_t>(k)], 1),
-            ReduceOp::kSum));
-      }
-      for (int k = kHandles - 1; k >= 0; --k) {
-        handles[static_cast<std::size_t>(k)].wait();
-        const long expect =
-            static_cast<long>(p) * (p - 1) / 2 + static_cast<long>(p) * k;
-        EXPECT_EQ(out[static_cast<std::size_t>(k)], expect);
-      }
-    });
-  }
-}
-
-TEST_P(NonblockingP, TestOnlyPollingCompletes) {
-  // Sends are buffered, so spinning on test() alone must drive a collective
-  // to completion without anyone ever blocking in wait().
-  const int p = GetParam();
-  World::run(p, [&](Comm& c) {
-    double out = 0.0;
-    const double mine = c.rank() + 1.0;
-    CollHandle h = c.iallreduce(std::span<const double>(&mine, 1),
-                                std::span<double>(&out, 1), ReduceOp::kSum);
-    while (!h.test()) {
-    }
-    EXPECT_DOUBLE_EQ(out, p * (p + 1) / 2.0);
-  });
-}
-
-TEST_P(NonblockingP, OverlapsWithPointToPointTraffic) {
-  // A collective in flight must not capture or corrupt unrelated tagged
-  // halo-style messages exchanged while it progresses.
-  const int p = GetParam();
-  World::run(p, [&](Comm& c) {
-    int sum = -1;
-    const int mine = c.rank();
-    CollHandle h = c.iallreduce(std::span<const int>(&mine, 1),
-                                std::span<int>(&sum, 1), ReduceOp::kSum);
-    const int right = (c.rank() + 1) % p;
-    const int left = (c.rank() + p - 1) % p;
-    c.sendValue(100 + c.rank(), right, 42);
-    (void)h.test();
-    EXPECT_EQ(c.recvValue<int>(left, 42), 100 + left);
-    h.wait();
-    EXPECT_EQ(sum, p * (p - 1) / 2);
-  });
-}
-
-TEST_P(NonblockingP, AbandonedHandleDoesNotPoisonLaterCollectives) {
-  // Dropping a handle before completion leaves its messages queued under a
-  // tag nobody will match again; later collectives draw fresh tags and must
-  // be unaffected.  Every rank abandons symmetrically.
-  const int p = GetParam();
-  World::run(p, [&](Comm& c) {
-    {
-      double out = 0.0;
-      const double mine = 1.0;
-      CollHandle h = c.iallreduce(std::span<const double>(&mine, 1),
-                                  std::span<double>(&out, 1), ReduceOp::kSum);
-      // h destroyed here, possibly incomplete.
-    }
-    EXPECT_EQ(c.allreduceValue(1, ReduceOp::kSum), p);
-    c.barrier();
-  });
-}
-
-TEST_P(NonblockingP, BlockingCollectiveWhileHandleOutstanding) {
-  const int p = GetParam();
-  World::run(p, [&](Comm& c) {
-    long out = 0;
-    const long mine = 10 * c.rank();
-    CollHandle h = c.iallreduce(std::span<const long>(&mine, 1),
-                                std::span<long>(&out, 1), ReduceOp::kSum);
-    EXPECT_EQ(c.allreduceValue(1, ReduceOp::kSum), p);
-    c.barrier();
-    h.wait();
-    EXPECT_EQ(out, 10L * p * (p - 1) / 2);
-  });
-}
-
-TEST_P(NonblockingP, EmptyIallreduceCompletesImmediately) {
-  const int p = GetParam();
-  World::run(p, [&](Comm& c) {
-    std::vector<double> nothing;
-    CollHandle h = c.iallreduce(std::span<const double>(nothing),
-                                std::span<double>(nothing), ReduceOp::kSum);
-    EXPECT_TRUE(h.test());
-    h.wait();
-  });
-}
-
-INSTANTIATE_TEST_SUITE_P(Sizes, NonblockingP,
-                         ::testing::Values(1, 2, 3, 4, 5, 7, 8));
-
 TEST(Split, EvenOddGroups) {
   World::run(4, [](Comm& c) {
     Comm sub = c.split(c.rank() % 2, c.rank());

@@ -123,37 +123,14 @@ INSTANTIATE_TEST_SUITE_P(
              std::to_string(std::get<1>(info.param));
     });
 
-// The paper's zero-app-change claim applied to pipelining: the same driver
-// code picks up communication-hiding Krylov loops purely through a solver
-// parameter ("pksp_pipeline"), with no change to how it calls the port.
-TEST(LisiPkspPipeline, ParameterEnablesPipelinedSolve) {
-  const int gridN = 15;
-  for (const char* mode : {"on", "auto"}) {
-    World::run(4, [&](Comm& c) {
-      PdeDriverConfig config;
-      config.gridN = gridN;
-      Backend backend = pkspBackend();
-      backend.params["solver"] = "bicgstab";
-      backend.params["preconditioner"] = "jacobi";
-      backend.params["pksp_pipeline"] = mode;
-      const PdeDriverResult res = runViaCca(c, backend, config);
-      ASSERT_TRUE(res.solved) << "pksp_pipeline=" << mode;
-      mesh::Pde5ptSpec spec;
-      spec.gridN = gridN;
-      const auto sys = mesh::assembleLocal(spec, c.rank(), c.size());
-      const double bnorm =
-          sparse::distNorm2(c, std::span<const double>(sys.localB));
-      EXPECT_LT(res.residualNorm / bnorm, 1e-8) << "pksp_pipeline=" << mode;
-    });
-  }
-}
-
+// A driver that still passes the removed pipelining parameter gets a failed
+// solve through the port, not a silently ignored setting.
 TEST(LisiPkspPipeline, BadPipelineValueRejected) {
   World::run(1, [](Comm& c) {
     PdeDriverConfig config;
     config.gridN = 9;
     Backend backend = pkspBackend();
-    backend.params["pksp_pipeline"] = "sideways";
+    backend.params["pksp_pipeline"] = "on";
     const PdeDriverResult res = runViaCca(c, backend, config);
     EXPECT_FALSE(res.solved);
   });
@@ -398,6 +375,8 @@ TEST(LisiContract, UnknownParamReported) {
     const long h = comm::registerHandle(c);
     s->initialize(h);
     EXPECT_EQ(s->set("definitely_not_a_key", "x"),
+              static_cast<int>(ErrorCode::kUnsupported));
+    EXPECT_EQ(s->set("pksp_pipeline", "on"),
               static_cast<int>(ErrorCode::kUnsupported));
     EXPECT_EQ(s->set("tol", "1e-9"), 0);
     EXPECT_EQ(s->setInt("maxits", 50), 0);

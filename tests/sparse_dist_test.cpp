@@ -710,81 +710,10 @@ TEST(Dist, SpmvAllocatesOnlyTransportEnvelopesMultiRank) {
   });
 }
 
-TEST_P(DistP, SplitPhaseDotsBitwiseMatchBlocking) {
-  const int p = GetParam();
-  const int n = 63;
-  std::vector<double> x(static_cast<std::size_t>(n)),
-      y(static_cast<std::size_t>(n)), z(static_cast<std::size_t>(n));
-  Rng rng(601);
-  for (auto& v : x) v = rng.uniform(-2, 2);
-  for (auto& v : y) v = rng.uniform(-2, 2);
-  for (auto& v : z) v = rng.uniform(-2, 2);
-  comm::World::run(p, [&](comm::Comm& c) {
-    const BlockRowPartition part(n, p);
-    const int s = part.startRow(c.rank());
-    const int m = part.localRows(c.rank());
-    std::span<const double> xL(x.data() + s, static_cast<std::size_t>(m));
-    std::span<const double> yL(y.data() + s, static_cast<std::size_t>(m));
-    std::span<const double> zL(z.data() + s, static_cast<std::size_t>(m));
-    // Single lane: identical bits to the blocking distDot.
-    const double blockingDot = distDot(c, xL, yL);
-    PendingDots p1 = distDotBegin(c, xL, yL);
-    EXPECT_EQ(distDotEnd(p1), blockingDot);
-    // Fused two-lane: identical bits to the blocking distDot2.
-    const std::array<double, 2> blocking2 = distDot2(c, xL, yL, yL, zL);
-    PendingDots p2 = distDot2Begin(c, xL, yL, yL, zL);
-    const std::array<double, 2> split2 = distDot2End(p2);
-    EXPECT_EQ(split2[0], blocking2[0]);
-    EXPECT_EQ(split2[1], blocking2[1]);
-    // General batch (three lanes, as pipelined CG uses).
-    const std::array<DotArgs, 3> lanes{DotArgs{xL, xL}, DotArgs{xL, zL},
-                                       DotArgs{yL, zL}};
-    PendingDots p3 = distDotsBegin(c, std::span<const DotArgs>(lanes));
-    while (!p3.test()) {
-    }
-    const auto r3 = distDotsEnd(p3);
-    ASSERT_EQ(r3.size(), 3u);
-    EXPECT_EQ(r3[0], distDot(c, xL, xL));
-    EXPECT_EQ(r3[1], distDot(c, xL, zL));
-    EXPECT_EQ(r3[2], distDot(c, yL, zL));
-  });
-}
-
-TEST_P(DistP, SplitPhaseDotOverlapsSpmv) {
-  // The intended hot-path usage: begin a dot, run an spmv (whose halo
-  // exchange shares the wires), then collect — results must be unaffected.
-  const int p = GetParam();
-  const int n = 48;
-  Rng rngA(603);
-  const CsrMatrix a = randomDiagDominant(n, 6, 1.0, rngA);
-  std::vector<double> x(static_cast<std::size_t>(n));
-  Rng rng(602);
-  for (auto& v : x) v = rng.uniform(-1, 1);
-  std::vector<double> yRef(static_cast<std::size_t>(n));
-  spmv(a, std::span<const double>(x), std::span<double>(yRef));
-  comm::World::run(p, [&](comm::Comm& c) {
-    DistCsrMatrix dist = DistCsrMatrix::scatterFromRoot(c, a);
-    const BlockRowPartition part(n, p);
-    const int s = part.startRow(c.rank());
-    const int m = part.localRows(c.rank());
-    std::span<const double> xL(x.data() + s, static_cast<std::size_t>(m));
-    const double dotRef = distDot(c, xL, xL);
-    PendingDots pend = distDotBegin(c, xL, xL);
-    std::vector<double> yL(static_cast<std::size_t>(m));
-    dist.spmv(xL, std::span<double>(yL));
-    (void)pend.test();
-    for (int i = 0; i < m; ++i) {
-      EXPECT_NEAR(yL[static_cast<std::size_t>(i)],
-                  yRef[static_cast<std::size_t>(s + i)], 1e-10);
-    }
-    EXPECT_EQ(distDotEnd(pend), dotRef);
-  });
-}
-
 TEST_P(DistP, FusedDotsMatchDistDotBitwise) {
   // Every lane of the interleaved multi-dot is bitwise distDot, for 1-9
   // lanes (full groups of 8 and every remainder), whether the lanes share
-  // x (the GMRES projection shape) or not, and in split-phase form too.
+  // x (the GMRES projection shape) or not.
   const int p = GetParam();
   const int n = 53;
   const int kVecs = 10;
@@ -809,13 +738,10 @@ TEST_P(DistP, FusedDotsMatchDistDotBitwise) {
         }
         std::vector<double> out(dots.size());
         distDots(c, dots, out);
-        PendingDots pend = distDotsBegin(c, dots);
-        const std::span<const double> split = distDotsEnd(pend);
         for (std::size_t l = 0; l < dots.size(); ++l) {
           const double ref = distDot(c, dots[l].x, dots[l].y);
           EXPECT_EQ(out[l], ref) << lanes << " lanes, lane " << l
                                  << (shared ? " (shared x)" : "");
-          EXPECT_EQ(split[l], ref) << lanes << " lanes, lane " << l;
         }
       }
     }

@@ -415,10 +415,10 @@ void checkRawTag(const FileContext& fc, std::vector<Finding>& findings) {
 
 const char* const kCollectives[] = {
     "barrier",    "bcast",      "bcastValue", "reduce",     "reduceValue",
-    "allreduce",  "allreduceValue",           "iallreduce", "ibarrier",
-    "gather",     "gatherv",    "allgather",  "allgatherv", "scatter",
-    "scatterv",   "split",      "dup",        "reserveCollectiveTags",
-    "pinCollectiveSchedule",    "setCollectiveTagWindow",
+    "allreduce",  "allreduceValue",           "gather",     "gatherv",
+    "allgather",  "allgatherv", "scatter",    "scatterv",   "split",
+    "dup",        "reserveCollectiveTags",    "pinCollectiveSchedule",
+    "setCollectiveTagWindow",
 };
 
 bool isCollectiveName(const std::string& s) {
