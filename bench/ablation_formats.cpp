@@ -6,6 +6,8 @@
 // PDE matrix, plus the raw library-level conversion kernels.
 #include <benchmark/benchmark.h>
 
+#include <vector>
+
 #include "cca/cca.hpp"
 #include "comm/comm.hpp"
 #include "comm/comm_handle.hpp"
@@ -84,22 +86,37 @@ void BM_SetupMatrixMsr(benchmark::State& state) {
   lisi::mesh::Pde5ptSpec spec;
   spec.gridN = gridN;
   const auto sys0 = lisi::mesh::assembleGlobal(spec);
-  const auto msr = lisi::sparse::csrToMsr(sys0.localA);
-  const int m = msr.n;
-  // LISI MSR input: values = full MSR val array, rows = pointer section,
-  // columns = off-diagonal column indices.
-  const std::vector<int> colSection(msr.bindx.begin() + m + 1,
-                                    msr.bindx.end());
+  const auto& a = sys0.localA;
+  const int m = a.rows;
+  // LISI MSR input: values = [diagonal, pad, off-diagonals], rows = the
+  // pointer section into that array, columns = off-diagonal column indices.
+  std::vector<double> values(static_cast<std::size_t>(m) + 1, 0.0);
+  std::vector<int> pointers{m + 1};
+  std::vector<int> columns;
+  for (int i = 0; i < m; ++i) {
+    for (int k = a.rowPtr[static_cast<std::size_t>(i)];
+         k < a.rowPtr[static_cast<std::size_t>(i) + 1]; ++k) {
+      const int j = a.colIdx[static_cast<std::size_t>(k)];
+      if (j == i) {
+        values[static_cast<std::size_t>(i)] =
+            a.values[static_cast<std::size_t>(k)];
+      } else {
+        values.push_back(a.values[static_cast<std::size_t>(k)]);
+        columns.push_back(j);
+      }
+    }
+    pointers.push_back(static_cast<int>(values.size()));
+  }
+  const int nnz = static_cast<int>(values.size());
   runSetupBench(
       state, gridN,
       [&](lisi::SparseSolver& s, const lisi::mesh::Pde5ptLocalSystem&) {
         return s.setupMatrix(
-            RArray<const double>(msr.val.data(),
-                                 static_cast<int>(msr.val.size())),
-            RArray<const int>(msr.bindx.data(), m + 1),
-            RArray<const int>(colSection.data(),
-                              static_cast<int>(colSection.size())),
-            SparseStruct::kMsr, m + 1, static_cast<int>(msr.val.size()));
+            RArray<const double>(values.data(), nnz),
+            RArray<const int>(pointers.data(), m + 1),
+            RArray<const int>(columns.data(),
+                              static_cast<int>(columns.size())),
+            SparseStruct::kMsr, m + 1, nnz);
       });
 }
 BENCHMARK(BM_SetupMatrixMsr)->Arg(50)->Arg(100)->Arg(200);

@@ -6,7 +6,7 @@
 //
 //   * service: a SolverService with two 2-rank sessions.  The burst is
 //     queued up front, the session leaders greedily fuse same-operator
-//     requests into blocked multi-RHS solves (multi_rhs=blocked), and the
+//     requests into multi-RHS solves (pksp's blocked kernels), and the
 //     two sessions drain the queue concurrently.
 //   * serial:  one 4-rank World holding a single pksp component, solving
 //     the L requests one setupRHS+solve at a time — the World-bound model

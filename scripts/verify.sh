@@ -17,12 +17,13 @@
 #              the blocked lanes the service runs) race-free;
 #   4. ASan+UBSan: rebuild with -DLISI_SANITIZE=address+undefined (which
 #              also defines _GLIBCXX_ASSERTIONS, so std::vector indexing is
-#              bounds-checked) and run
-#              the sparse, slu, and operator-reuse binaries — the value-only
-#              update paths write positionally into frozen factor / halo-plan
-#              storage, which is exactly the bug class these sanitizers
-#              catch — plus the aztec, pksp, hymg and port suites, since
-#              the aztec port views storage the port owns and the
+#              bounds-checked) and run the comm binary — the typed
+#              receives copy raw message bytes, empty messages included —
+#              and the sparse, slu, and operator-reuse binaries — the
+#              value-only update paths write positionally into frozen
+#              factor / halo-plan storage, which is exactly the bug class
+#              these sanitizers catch — plus the aztec, pksp, hymg and
+#              port suites, since the aztec port views storage the port owns and the
 #              block-local preconditioners view their operator's storage
 #              (a use-after-free there is what ASan catches), plus the
 #              plugin suite, so dlopen-loaded
@@ -152,6 +153,9 @@ cmake --build build-tsan -j --target comm_test sparse_dist_test pksp_test \
 ./build-tsan/tests/service_test
 
 # ---- 4. ASan+UBSan -----------------------------------------------------
+# comm_test is here because the typed receive and collective helpers copy
+# raw message bytes: an empty message must not reach memcpy with null
+# pointers, which UBSan reports and the other builds run silently.
 # aztec_test, lisi_solver_test and lisi_crossbackend_test are here because
 # the aztec port holds a view of the operator the port owns: a view that
 # outlived its storage would be a use-after-free.  pksp_test and hymg_test
@@ -169,10 +173,11 @@ cmake --build build-tsan -j --target comm_test sparse_dist_test pksp_test \
 # SLU kernels index their run arrays through std::vector, which the
 # _GLIBCXX_ASSERTIONS this configuration defines bounds-checks.
 cmake -B build-asan -S . -DLISI_SANITIZE=address+undefined
-cmake --build build-asan -j --target sparse_dist_test slu_test \
+cmake --build build-asan -j --target comm_test sparse_dist_test slu_test \
   lisi_reuse_test plugin_test aztec_test lisi_solver_test \
   lisi_crossbackend_test pksp_test hymg_test failure_injection_test \
   service_test
+./build-asan/tests/comm_test
 ./build-asan/tests/sparse_dist_test
 ./build-asan/tests/slu_test
 ./build-asan/tests/lisi_reuse_test

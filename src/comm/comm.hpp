@@ -157,7 +157,9 @@ class Comm {
     std::vector<std::byte> raw = recvBytes(src, tag, status);
     LISI_CHECK(raw.size() % sizeof(T) == 0, "message size not a multiple of T");
     std::vector<T> out(raw.size() / sizeof(T));
-    std::memcpy(out.data(), raw.data(), raw.size());
+    // An empty message leaves both data() pointers null, and memcpy from or
+    // to a null pointer is undefined even for zero bytes.
+    if (!raw.empty()) std::memcpy(out.data(), raw.data(), raw.size());
     return out;
   }
 

@@ -4,7 +4,6 @@
 // in a RowMatrix subclass, the §5.5 Epetra_RowMatrix pattern.
 #include "aztec/aztecoo.hpp"
 #include "lisi/solver_base.hpp"
-#include "support/string_util.hpp"
 
 namespace lisi {
 namespace {
@@ -61,13 +60,11 @@ class AztecSolverPort final : public detail::SolverComponentBase {
                         std::span<const double> b, std::span<double> x,
                         int nRhs, detail::BackendStats& stats) override {
     using namespace aztec;
-    // "multi_rhs=blocked" routes the batch through one MultiVector-bound
-    // AztecOO: the preconditioner builds once for all lanes and the
-    // convergence scales fuse into a single allreduce.  The default stays
-    // the per-RHS loop, bitwise identical to pre-multi-RHS behavior.
-    if (lisi::toLower(paramString("multi_rhs", "sequential")) != "blocked") {
-      return SolverComponentBase::backendSolveMulti(ctx, b, x, nRhs, stats);
-    }
+    // Several lanes go through one MultiVector-bound AztecOO: the
+    // preconditioner builds once for all lanes and the convergence scales
+    // fuse into a single allreduce.  Each lane is bitwise its single-RHS
+    // solve; one lane takes the single-vector iterate.
+    if (nRhs == 1) return backendSolve(ctx, b, x, stats);
     const int prep = prepare(ctx);
     if (prep != static_cast<int>(ErrorCode::kOk)) return prep;
 

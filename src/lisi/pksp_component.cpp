@@ -4,7 +4,6 @@
 // and supports the matrix-free path through PKSP's shell operator.
 #include "lisi/solver_base.hpp"
 #include "pksp/pksp.hpp"
-#include "support/string_util.hpp"
 
 namespace lisi {
 namespace {
@@ -32,13 +31,10 @@ class PkspSolverPort final : public detail::SolverComponentBase {
   int backendSolveMulti(const detail::SolveContext& ctx,
                         std::span<const double> b, std::span<double> x,
                         int nRhs, detail::BackendStats& stats) override {
-    // "multi_rhs=blocked" routes the whole batch through KSPSolveMulti's
-    // lockstep kernels (one halo exchange + fused reductions per iteration
-    // across all lanes); the default stays the sequential per-RHS loop,
-    // which is bitwise identical to pre-multi-RHS behavior.
-    if (toLower(paramString("multi_rhs", "sequential")) != "blocked") {
-      return SolverComponentBase::backendSolveMulti(ctx, b, x, nRhs, stats);
-    }
+    // The whole batch goes through KSPSolveMulti: lockstep kernels (one
+    // halo exchange + fused reductions per iteration across all lanes)
+    // where CG/GMRES has them, its per-lane loop otherwise; one lane is
+    // KSPSolve.  Each lane is bitwise its single-RHS solve.
     const int rc = configure(ctx);
     if (rc != static_cast<int>(ErrorCode::kOk)) return rc;
     return finish(pksp::KSPSolveMulti(ksp_, b, x, nRhs), stats);

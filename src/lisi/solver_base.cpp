@@ -1,5 +1,6 @@
 #include "lisi/solver_base.hpp"
 
+#include <algorithm>
 #include <charconv>
 #include <sstream>
 
@@ -175,37 +176,39 @@ int SolverComponentBase::setupMatrixImpl(RArray<const double> values,
         // rows = bindx pointer section (localRows+1 entries, MSR convention
         // bindx[0] = localRows+1, relative to the packed array); columns =
         // the offdiag global column indices (nnz - localRows - 1 entries).
+        // Each row decodes to its diagonal, then its off-diagonals;
+        // canonicalize below sorts the row.
         const int m = localRows_;
         if (rowsLength != m + 1 || rows.length() < rowsLength ||
             nnz < m + 1 || columns.length() < nnz - m - 1) {
           return code(ErrorCode::kInvalidArgument);
         }
-        sparse::CooMatrix coo;
-        coo.rows = m;
-        coo.cols = globalCols_;
+        local.rowPtr.assign(static_cast<std::size_t>(m) + 1, 0);
+        local.colIdx.reserve(static_cast<std::size_t>(nnz) - 1);
+        local.values.reserve(static_cast<std::size_t>(nnz) - 1);
         for (int i = 0; i < m; ++i) {
-          // Diagonal entry (implicit global column startRow + i).
-          coo.rowIdx.push_back(i);
-          coo.colIdx.push_back(startRow_ + i);
-          coo.values.push_back(values[i]);
           const int b = rows[i] - offset;
           const int e = rows[i + 1] - offset;
           if (b < m + 1 || e < b || e > nnz) {
             return code(ErrorCode::kInvalidArgument);
           }
+          // Diagonal entry (implicit global column startRow + i).
+          local.colIdx.push_back(startRow_ + i);
+          local.values.push_back(values[i]);
           for (int k = b; k < e; ++k) {
-            coo.rowIdx.push_back(i);
-            coo.colIdx.push_back(columns[k - m - 1] - offset);
-            coo.values.push_back(values[k]);
+            local.colIdx.push_back(columns[k - m - 1] - offset);
+            local.values.push_back(values[k]);
           }
+          local.rowPtr[static_cast<std::size_t>(i) + 1] =
+              static_cast<int>(local.colIdx.size());
         }
-        local = sparse::cooToCsr(coo);
         break;
       }
       case SparseStruct::kVbr: {
         // Uniform blocks of setBlockSize: rows = block-row pointer
         // (numBlockRows+1), columns = global block column indices, values =
-        // column-major dense blocks in block order.
+        // column-major dense blocks in block order.  Scalar row li of a
+        // block row reads row li of each of its blocks in turn.
         const int bs = blockSize_;
         if (bs < 1 || localRows_ % bs != 0 || globalCols_ % bs != 0) {
           return code(ErrorCode::kUnsupported);
@@ -214,33 +217,39 @@ int SolverComponentBase::setupMatrixImpl(RArray<const double> values,
         if (rowsLength != nbr + 1 || rows.length() < rowsLength) {
           return code(ErrorCode::kInvalidArgument);
         }
+        // Sizes from the caller: compare in 64 bits, and only once a block
+        // is known to fit in nnz, so that no product can overflow.
         const int nblocks = rows[nbr] - offset;
+        const long long blockLen = static_cast<long long>(bs) * bs;
         if (nblocks < 0 || columns.length() < nblocks ||
-            nblocks * bs * bs != nnz) {
+            (nblocks > 0 && blockLen > nnz) || nblocks * blockLen != nnz) {
           return code(ErrorCode::kInvalidArgument);
         }
-        sparse::CooMatrix coo;
-        coo.rows = localRows_;
-        coo.cols = globalCols_;
+        local.rowPtr.assign(static_cast<std::size_t>(localRows_) + 1, 0);
+        local.colIdx.reserve(static_cast<std::size_t>(nnz));
+        local.values.reserve(static_cast<std::size_t>(nnz));
         for (int br = 0; br < nbr; ++br) {
           const int bBegin = rows[br] - offset;
           const int bEnd = rows[br + 1] - offset;
           if (bBegin < 0 || bEnd < bBegin || bEnd > nblocks) {
             return code(ErrorCode::kInvalidArgument);
           }
-          for (int b = bBegin; b < bEnd; ++b) {
-            const int bc = columns[b] - offset;
-            const int base = b * bs * bs;
-            for (int lj = 0; lj < bs; ++lj) {
-              for (int li = 0; li < bs; ++li) {
-                coo.rowIdx.push_back(br * bs + li);
-                coo.colIdx.push_back(bc * bs + lj);
-                coo.values.push_back(values[base + lj * bs + li]);
+          for (int li = 0; li < bs; ++li) {
+            for (int b = bBegin; b < bEnd; ++b) {
+              const int bc = columns[b] - offset;
+              if (bc < 0 || bc >= globalCols_ / bs) {
+                return code(ErrorCode::kInvalidArgument);
+              }
+              const int base = b * bs * bs;
+              for (int lj = 0; lj < bs; ++lj) {
+                local.colIdx.push_back(bc * bs + lj);
+                local.values.push_back(values[base + lj * bs + li]);
               }
             }
+            local.rowPtr[static_cast<std::size_t>(br * bs + li) + 1] =
+                static_cast<int>(local.colIdx.size());
           }
         }
-        local = sparse::cooToCsr(coo);
         break;
       }
       default:
@@ -509,9 +518,18 @@ int SolverComponentBase::backendSolveMulti(const SolveContext& ctx,
   const auto m = static_cast<std::size_t>(ctx.localRows);
   for (int k = 0; k < nRhs; ++k) {
     const auto ku = static_cast<std::size_t>(k);
+    BackendStats lane{};
     const int rc =
-        backendSolve(ctx, b.subspan(ku * m, m), x.subspan(ku * m, m), stats);
+        backendSolve(ctx, b.subspan(ku * m, m), x.subspan(ku * m, m), lane);
     if (rc != code(ErrorCode::kOk)) return rc;
+    if (k == 0) {
+      stats = lane;
+      continue;
+    }
+    // Aggregate as KSPSolveMulti does: the worst lane speaks for the batch.
+    stats.iterations = std::max(stats.iterations, lane.iterations);
+    stats.residualNorm = std::max(stats.residualNorm, lane.residualNorm);
+    stats.converged = stats.converged && lane.converged;
   }
   return code(ErrorCode::kOk);
 }
@@ -520,8 +538,7 @@ bool SolverComponentBase::isCommonParam(const std::string& key) {
   return key == "solver" || key == "preconditioner" || key == "tol" ||
          key == "atol" || key == "maxits" || key == "matrix_free" ||
          key == "use_initial_guess" || key == "reuse_preconditioner" ||
-         key == "tune" || key == "tune_retune_budget" || key == "precision" ||
-         key == "multi_rhs";
+         key == "tune" || key == "tune_retune_budget" || key == "precision";
 }
 
 bool SolverComponentBase::acceptsParam(const std::string& key) const {

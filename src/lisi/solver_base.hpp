@@ -130,11 +130,12 @@ class SolverComponentBase : public SparseSolver {
   /// b/x are vector-major (RHS k occupies [k*localRows, (k+1)*localRows));
   /// x carries the initial guesses in and the solutions out.  The default
   /// implementation runs the single-RHS backendSolve hook once per lane —
-  /// bitwise identical to the caller looping over setupRHS/solve pairs.
-  /// Backends with a batched path (PKSP's blocked Krylov kernels, Aztec's
-  /// MultiVector) override this and consult the "multi_rhs" parameter
-  /// ("sequential" | "blocked", default sequential) to decide whether the
-  /// lanes advance in lockstep through one fused communication schedule.
+  /// bitwise identical to the caller looping over setupRHS/solve pairs —
+  /// and reports the batch as its worst lane: the most iterations, the
+  /// largest residual, converged only if every lane converged.  Backends
+  /// with a batched path (PKSP's blocked Krylov kernels, Aztec's
+  /// MultiVector) override this and always take it, aggregating the same
+  /// way.
   virtual int backendSolveMulti(const SolveContext& ctx,
                                 std::span<const double> b,
                                 std::span<double> x, int nRhs,

@@ -103,7 +103,8 @@ class PluginSolverPort final : public base::SolverComponentBase {
   // String-keyed options are the plugin's to judge (the LIS idiom): accept
   // everything here and let set_option return LISI_ABI_ERR_UNSUPPORTED for
   // keys the plugin does not know — the host-side keys (tune, precision,
-  // multi_rhs, ...) land there too and are skipped by design.
+  // ...) land there too and are skipped by design.  A multi-RHS solve runs
+  // the base class's per-lane loop: ABI v1 has no batched entry point.
   bool acceptsParam(const std::string&) const override { return true; }
 
   int backendSolve(const base::SolveContext& ctx, std::span<const double> b,

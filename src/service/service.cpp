@@ -308,9 +308,6 @@ void SolverService::serveBatch(const comm::Comm& sc, int session,
     rc = solver->setStartRow(rr.start);
     if (rc == 0) rc = solver->setLocalRows(rr.count);
     if (rc == 0) rc = solver->setGlobalCols(n);
-    // The batched path is the point of the service; a request may still
-    // override multi_rhs (e.g. "sequential" for A/B runs) via its params.
-    if (rc == 0) rc = solver->set("multi_rhs", "blocked");
     for (const auto& [k, v] : req0.stringParams) {
       if (rc == 0) rc = solver->set(k, v);
     }

@@ -6,7 +6,7 @@
 // sub-communicators, each running its own solver components, and clients
 // submit independent solve requests to a shared admission-controlled queue.
 // Session leaders pull requests, greedily batch requests against the same
-// operator into one multi-RHS solve (the "multi_rhs=blocked" backend path),
+// operator into one multi-RHS solve (the backend's batched path),
 // and resolve each request's future with its lane of the block solution.
 // A leader prefers requests on the operator its session served last (its
 // component is already set up for it); the queue's front request may be

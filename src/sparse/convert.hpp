@@ -1,10 +1,12 @@
-// Conversions between sparse storage formats.
+// Conversions between the internal sparse storage formats.
 //
 // LISI's setupMatrix is, per §7.2, "an adapter to convert the input data
 // format to the libraries' internal data structure and frees up users from
-// doing it by their own".  CSR is the hub format: every format converts to
-// and from CSR, giving all-pairs conversion in at most two hops.  All
-// converters produce canonical CSR (sorted columns, duplicates summed).
+// doing it by their own".  That adapter (src/lisi/solver_base.cpp) decodes
+// the MSR and VBR input layouts itself, straight into CSR, and assembles
+// COO/FEM triplets with cooToCsr below.  The other converters serve the
+// packages: CSC is the direct solver's native input.  Every converter to
+// CSR produces canonical CSR (sorted columns, duplicates summed).
 #pragma once
 
 #include "sparse/formats.hpp"
@@ -22,31 +24,5 @@ namespace lisi::sparse {
 
 /// Row-compress a CSC matrix.
 [[nodiscard]] CsrMatrix cscToCsr(const CscMatrix& csc);
-
-/// Convert square CSR to MSR.  Missing diagonal entries are stored as 0 in
-/// the MSR diagonal section (MSR always materializes the diagonal).
-[[nodiscard]] MsrMatrix csrToMsr(const CsrMatrix& csr);
-
-/// Convert MSR back to canonical CSR.  Structurally-zero diagonal slots
-/// (value exactly 0.0 with no explicit CSR entry originally) are emitted as
-/// explicit zeros; callers needing the original pattern should drop zeros.
-[[nodiscard]] CsrMatrix msrToCsr(const MsrMatrix& msr);
-
-/// Convert CSR to VBR with the given row/column partitions
-/// (rpntr/cpntr-style boundary arrays).  Any block containing at least one
-/// nonzero is stored dense.
-[[nodiscard]] VbrMatrix csrToVbr(const CsrMatrix& csr,
-                                 const std::vector<int>& rowPart,
-                                 const std::vector<int>& colPart);
-
-/// Convert CSR to VBR with a uniform block size (last block may be smaller).
-[[nodiscard]] VbrMatrix csrToVbrUniform(const CsrMatrix& csr, int blockSize);
-
-/// Flatten VBR to canonical CSR; exact zeros inside stored blocks are kept
-/// (they are part of the VBR structure).
-[[nodiscard]] CsrMatrix vbrToCsr(const VbrMatrix& vbr);
-
-/// Drop explicit zeros from a CSR matrix.
-[[nodiscard]] CsrMatrix dropZeros(const CsrMatrix& csr, double tol = 0.0);
 
 }  // namespace lisi::sparse

@@ -1,9 +1,6 @@
 #include "sparse/formats.hpp"
 
 #include <algorithm>
-#include <numeric>
-
-#include "support/string_util.hpp"
 
 namespace lisi::sparse {
 
@@ -14,20 +11,8 @@ const char* sparseStructName(SparseStruct s) {
     case SparseStruct::kMsr: return "MSR";
     case SparseStruct::kVbr: return "VBR";
     case SparseStruct::kFem: return "FEM";
-    case SparseStruct::kCsc: return "CSC";
   }
   return "?";
-}
-
-SparseStruct sparseStructFromName(const std::string& name) {
-  const std::string t = toLower(trim(name));
-  if (t == "csr") return SparseStruct::kCsr;
-  if (t == "coo") return SparseStruct::kCoo;
-  if (t == "msr") return SparseStruct::kMsr;
-  if (t == "vbr") return SparseStruct::kVbr;
-  if (t == "fem") return SparseStruct::kFem;
-  if (t == "csc") return SparseStruct::kCsc;
-  throw Error("unknown sparse format name: '" + name + "'");
 }
 
 void CooMatrix::check() const {
@@ -117,8 +102,7 @@ bool CsrMatrixT<V>::isCanonical() const {
   return true;
 }
 
-template <class V>
-void CscMatrixT<V>::check() const {
+void CscMatrix::check() const {
   LISI_CHECK(rows >= 0 && cols >= 0, "CSC: negative dimensions");
   LISI_CHECK(colPtr.size() == static_cast<std::size_t>(cols) + 1,
              "CSC: colPtr length != cols+1");
@@ -136,74 +120,7 @@ void CscMatrixT<V>::check() const {
   }
 }
 
-void MsrMatrix::check() const {
-  LISI_CHECK(n >= 0, "MSR: negative dimension");
-  LISI_CHECK(bindx.size() >= static_cast<std::size_t>(n) + 1,
-             "MSR: bindx shorter than n+1");
-  LISI_CHECK(val.size() == bindx.size(), "MSR: val/bindx length mismatch");
-  LISI_CHECK(bindx[0] == n + 1, "MSR: bindx[0] != n+1");
-  for (int i = 0; i < n; ++i) {
-    LISI_CHECK(bindx[static_cast<std::size_t>(i)] <=
-                   bindx[static_cast<std::size_t>(i) + 1],
-               "MSR: bindx row pointers not monotone");
-  }
-  LISI_CHECK(bindx[static_cast<std::size_t>(n)] ==
-                 static_cast<int>(bindx.size()),
-             "MSR: bindx[n] != total length");
-  for (std::size_t k = static_cast<std::size_t>(n) + 1; k < bindx.size(); ++k) {
-    LISI_CHECK(bindx[k] >= 0 && bindx[k] < n, "MSR: col index out of range");
-  }
-}
-
-template <class V>
-void VbrMatrixT<V>::check() const {
-  const int nrb = numRowBlocks();
-  const int ncb = numColBlocks();
-  LISI_CHECK(nrb >= 0 && ncb >= 0, "VBR: negative block counts");
-  if (nrb == 0) return;
-  LISI_CHECK(rpntr[0] == 0 && cpntr[0] == 0, "VBR: partitions must start at 0");
-  for (int b = 0; b < nrb; ++b) {
-    LISI_CHECK(rpntr[static_cast<std::size_t>(b)] <
-                   rpntr[static_cast<std::size_t>(b) + 1],
-               "VBR: empty row block");
-  }
-  for (int b = 0; b < ncb; ++b) {
-    LISI_CHECK(cpntr[static_cast<std::size_t>(b)] <
-                   cpntr[static_cast<std::size_t>(b) + 1],
-               "VBR: empty col block");
-  }
-  LISI_CHECK(bpntr.size() == static_cast<std::size_t>(nrb) + 1,
-             "VBR: bpntr length != nRowBlocks+1");
-  LISI_CHECK(bpntr[0] == 0, "VBR: bpntr[0] != 0");
-  const int nblocks = bpntr[static_cast<std::size_t>(nrb)];
-  LISI_CHECK(static_cast<int>(bindx.size()) == nblocks,
-             "VBR: bindx length != total blocks");
-  LISI_CHECK(indx.size() == static_cast<std::size_t>(nblocks) + 1,
-             "VBR: indx length != blocks+1");
-  LISI_CHECK(indx[0] == 0, "VBR: indx[0] != 0");
-  LISI_CHECK(indx[static_cast<std::size_t>(nblocks)] ==
-                 static_cast<int>(val.size()),
-             "VBR: indx end != val length");
-  for (int br = 0; br < nrb; ++br) {
-    const int rdim = rpntr[static_cast<std::size_t>(br) + 1] -
-                     rpntr[static_cast<std::size_t>(br)];
-    for (int b = bpntr[static_cast<std::size_t>(br)];
-         b < bpntr[static_cast<std::size_t>(br) + 1]; ++b) {
-      const int bc = bindx[static_cast<std::size_t>(b)];
-      LISI_CHECK(bc >= 0 && bc < ncb, "VBR: block col index out of range");
-      const int cdim = cpntr[static_cast<std::size_t>(bc) + 1] -
-                       cpntr[static_cast<std::size_t>(bc)];
-      LISI_CHECK(indx[static_cast<std::size_t>(b) + 1] -
-                         indx[static_cast<std::size_t>(b)] ==
-                     rdim * cdim,
-                 "VBR: block value extent mismatch");
-    }
-  }
-}
-
 template struct CsrMatrixT<double>;
 template struct CsrMatrixT<float>;
-template struct CscMatrixT<double>;
-template struct VbrMatrixT<double>;
 
 }  // namespace lisi::sparse

@@ -81,44 +81,6 @@ void spmv(const CooMatrix& a, std::span<const double> x, std::span<double> y) {
   }
 }
 
-void spmv(const MsrMatrix& a, std::span<const double> x, std::span<double> y) {
-  LISI_CHECK(static_cast<int>(x.size()) == a.n, "spmv(MSR): x size mismatch");
-  LISI_CHECK(static_cast<int>(y.size()) == a.n, "spmv(MSR): y size mismatch");
-  for (int i = 0; i < a.n; ++i) {
-    double acc = a.val[static_cast<std::size_t>(i)] * x[static_cast<std::size_t>(i)];
-    for (int k = a.bindx[static_cast<std::size_t>(i)];
-         k < a.bindx[static_cast<std::size_t>(i) + 1]; ++k) {
-      acc += a.val[static_cast<std::size_t>(k)] *
-             x[static_cast<std::size_t>(a.bindx[static_cast<std::size_t>(k)])];
-    }
-    y[static_cast<std::size_t>(i)] = acc;
-  }
-}
-
-void spmv(const VbrMatrix& a, std::span<const double> x, std::span<double> y) {
-  LISI_CHECK(static_cast<int>(x.size()) == a.cols(), "spmv(VBR): x size mismatch");
-  LISI_CHECK(static_cast<int>(y.size()) == a.rows(), "spmv(VBR): y size mismatch");
-  std::fill(y.begin(), y.end(), 0.0);
-  for (int br = 0; br < a.numRowBlocks(); ++br) {
-    const int r0 = a.rpntr[static_cast<std::size_t>(br)];
-    const int rdim = a.rpntr[static_cast<std::size_t>(br) + 1] - r0;
-    for (int b = a.bpntr[static_cast<std::size_t>(br)];
-         b < a.bpntr[static_cast<std::size_t>(br) + 1]; ++b) {
-      const int bc = a.bindx[static_cast<std::size_t>(b)];
-      const int c0 = a.cpntr[static_cast<std::size_t>(bc)];
-      const int cdim = a.cpntr[static_cast<std::size_t>(bc) + 1] - c0;
-      const int base = a.indx[static_cast<std::size_t>(b)];
-      for (int lj = 0; lj < cdim; ++lj) {
-        const double xj = x[static_cast<std::size_t>(c0 + lj)];
-        for (int li = 0; li < rdim; ++li) {
-          y[static_cast<std::size_t>(r0 + li)] +=
-              a.val[static_cast<std::size_t>(base + lj * rdim + li)] * xj;
-        }
-      }
-    }
-  }
-}
-
 CsrMatrix transpose(const CsrMatrix& a) {
   CscMatrix csc = csrToCsc(a);
   CsrMatrix t;

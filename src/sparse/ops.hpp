@@ -1,6 +1,7 @@
-// Serial sparse kernels: matrix-vector products for every storage format,
-// transposes, diagonal extraction, and vector/matrix norms.  These are the
-// reference kernels the solver packages and the test suite build on.
+// Serial sparse kernels: matrix-vector products for the internal storage
+// formats (CSR, CSC, COO), transposes, diagonal extraction, and
+// vector/matrix norms.  These are the reference kernels the solver packages
+// and the test suite build on.
 #pragma once
 
 #include <span>
@@ -27,12 +28,6 @@ void spmv(const CscMatrix& a, std::span<const double> x, std::span<double> y);
 
 /// y = A*x for COO (duplicates accumulate).
 void spmv(const CooMatrix& a, std::span<const double> x, std::span<double> y);
-
-/// y = A*x for MSR.
-void spmv(const MsrMatrix& a, std::span<const double> x, std::span<double> y);
-
-/// y = A*x for VBR.
-void spmv(const VbrMatrix& a, std::span<const double> x, std::span<double> y);
 
 /// Explicit transpose of a CSR matrix (canonical output).
 [[nodiscard]] CsrMatrix transpose(const CsrMatrix& a);

@@ -4,6 +4,7 @@
 // component class name, must solve the same system through every backend.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <cmath>
 
@@ -12,7 +13,6 @@
 #include "lisi/pde_driver.hpp"
 #include "lisi/sparse_solver.hpp"
 #include "mesh/pde5pt.hpp"
-#include "sparse/convert.hpp"
 #include "sparse/dist_csr.hpp"
 #include "sparse/ops.hpp"
 
@@ -222,24 +222,112 @@ TEST(LisiMatrixFree, SluReportsUnsupported) {
   });
 }
 
+/// Solve the gridN paper PDE through a fresh `backend` port, with the nRhs
+/// vector-major lanes of `rhs` in one setupRHS/solve pair.  Returns the
+/// solve's code; fills the lanes' solutions and the status array.
+int solveLanes(const Comm& c, const Backend& backend, int gridN,
+               const std::vector<double>& rhs, int nRhs,
+               std::vector<double>& x, std::vector<double>& status) {
+  mesh::Pde5ptSpec spec;
+  spec.gridN = gridN;
+  const auto sys = mesh::assembleLocal(spec, c.rank(), c.size());
+  const int m = sys.localA.rows;
+  const int nnz = sys.localA.nnz();
+  registerSolverComponents();
+  cca::Framework fw;
+  fw.instantiate("s", backend.className);
+  auto s = fw.getProvidesPortAs<SparseSolver>("s", kSparseSolverPortName);
+  const long h = comm::registerHandle(c);
+  EXPECT_EQ(s->initialize(h), 0);
+  EXPECT_EQ(s->setStartRow(sys.startRow), 0);
+  EXPECT_EQ(s->setLocalRows(m), 0);
+  EXPECT_EQ(s->setGlobalCols(sys.globalN), 0);
+  for (const auto& [k, v] : backend.params) EXPECT_EQ(s->set(k, v), 0) << k;
+  EXPECT_EQ(s->setupMatrix(RArray<const double>(sys.localA.values.data(), nnz),
+                           RArray<const int>(sys.localA.rowPtr.data(), m + 1),
+                           RArray<const int>(sys.localA.colIdx.data(), nnz),
+                           SparseStruct::kCsr, m + 1, nnz),
+            0);
+  EXPECT_EQ(s->setupRHS(RArray<const double>(rhs.data(), m * nRhs), m, nRhs),
+            0);
+  x.assign(static_cast<std::size_t>(m * nRhs), 0.0);
+  status.assign(kStatusLength, -1.0);
+  const int rc = s->solve(RArray<double>(x.data(), m * nRhs),
+                          RArray<double>(status.data(), kStatusLength), m,
+                          kStatusLength);
+  comm::releaseHandle(h);
+  return rc;
+}
+
 TEST(LisiMultiRhs, SolvesSeveralRightHandSides) {
   // §5.2 use case (c): same A, several RHS in one setupRHS/solve pair.
-  World::run(2, [](Comm& c) {
-    PdeDriverConfig config;
-    config.gridN = 10;
-    config.nRhs = 3;
-    const PdeDriverResult res = runViaCca(c, sluBackend(), config);
-    ASSERT_TRUE(res.solved);
-    // All three RHS were identical, so all three solutions must coincide.
-    const int m = static_cast<int>(res.localSolution.size()) / 3;
-    for (int k = 1; k < 3; ++k) {
-      for (int i = 0; i < m; ++i) {
-        EXPECT_DOUBLE_EQ(res.localSolution[static_cast<std::size_t>(k * m + i)],
-                         res.localSolution[static_cast<std::size_t>(i)]);
+  // Each lane is bitwise that RHS solved alone: pksp and aztec through
+  // their batched paths, slu through the per-lane loop.
+  const int gridN = 10;
+  World::run(2, [&](Comm& c) {
+    mesh::Pde5ptSpec spec;
+    spec.gridN = gridN;
+    const auto sys = mesh::assembleLocal(spec, c.rank(), c.size());
+    const auto m = sys.localB.size();
+    const int nRhs = 3;
+    std::vector<double> rhs;
+    for (int k = 0; k < nRhs; ++k) {
+      for (std::size_t i = 0; i < m; ++i) {
+        rhs.push_back(sys.localB[i] + k * std::sin(static_cast<double>(i)));
+      }
+    }
+    for (const Backend& backend : {pkspBackend(), aztecBackend(), sluBackend()}) {
+      std::vector<double> x;
+      std::vector<double> status;
+      ASSERT_EQ(solveLanes(c, backend, gridN, rhs, nRhs, x, status), 0)
+          << backend.className;
+      EXPECT_EQ(status[kStatusConverged], 1.0) << backend.className;
+      for (int k = 0; k < nRhs; ++k) {
+        const auto lane = static_cast<std::ptrdiff_t>(k * m);
+        const std::vector<double> b(rhs.begin() + lane,
+                                    rhs.begin() + lane + std::ptrdiff_t(m));
+        std::vector<double> alone;
+        ASSERT_EQ(solveLanes(c, backend, gridN, b, 1, alone, status), 0);
+        EXPECT_TRUE(std::equal(alone.begin(), alone.end(), x.begin() + lane))
+            << backend.className << " lane " << k;
       }
     }
   });
 }
+
+// A batch reports its worst lane: a lane that did not converge fails the
+// solve even when a later lane converges (here a zero RHS, solved at once).
+class LisiMultiRhsStatus
+    : public ::testing::TestWithParam<std::tuple<int, int>> {};
+// param: (backendIndex, ranks)
+
+TEST_P(LisiMultiRhsStatus, UnconvergedLaneFailsTheBatch) {
+  const auto [backendIndex, ranks] = GetParam();
+  const int gridN = 15;
+  World::run(ranks, [&](Comm& c) {
+    mesh::Pde5ptSpec spec;
+    spec.gridN = gridN;
+    const auto sys = mesh::assembleLocal(spec, c.rank(), c.size());
+    std::vector<double> rhs = sys.localB;
+    rhs.resize(2 * rhs.size(), 0.0);
+    Backend backend = makeBackend(backendIndex, gridN);
+    backend.params["maxits"] = "1";
+    backend.params["tol"] = "1e-12";
+    std::vector<double> x;
+    std::vector<double> status;
+    EXPECT_EQ(solveLanes(c, backend, gridN, rhs, 2, x, status),
+              static_cast<int>(ErrorCode::kNumericFailure));
+    EXPECT_EQ(status[kStatusConverged], 0.0);
+  });
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    BackendsByRanks, LisiMultiRhsStatus,
+    ::testing::Combine(::testing::Values(0, 3), ::testing::Values(1, 2)),
+    [](const ::testing::TestParamInfo<std::tuple<int, int>>& info) {
+      return std::string(backendLabel(std::get<0>(info.param))) + "_ranks" +
+             std::to_string(std::get<1>(info.param));
+    });
 
 // ---- hymg reports the true residual against the application's matrix ---
 
@@ -377,6 +465,8 @@ TEST(LisiContract, UnknownParamReported) {
     EXPECT_EQ(s->set("definitely_not_a_key", "x"),
               static_cast<int>(ErrorCode::kUnsupported));
     EXPECT_EQ(s->set("pksp_pipeline", "on"),
+              static_cast<int>(ErrorCode::kUnsupported));
+    EXPECT_EQ(s->set("multi_rhs", "blocked"),
               static_cast<int>(ErrorCode::kUnsupported));
     EXPECT_EQ(s->set("tol", "1e-9"), 0);
     EXPECT_EQ(s->setInt("maxits", 50), 0);
@@ -520,21 +610,145 @@ TEST(LisiFormats, VbrInput) {
                               3, 8),
                 0);
     });
+    // One block of 65536² values does not fit nnz = 0: refused, although
+    // the product overflows int (it would wrap to 0).
+    cca::Framework fw;
+    auto s = freshSolver(fw);
+    const long h = comm::registerHandle(c);
+    ASSERT_EQ(s->initialize(h), 0);
+    ASSERT_EQ(s->setStartRow(0), 0);
+    ASSERT_EQ(s->setLocalRows(0), 0);
+    ASSERT_EQ(s->setGlobalCols(0), 0);
+    ASSERT_EQ(s->setBlockSize(65536), 0);
+    const int bpntr[1] = {1};
+    const int bindx[1] = {0};
+    EXPECT_EQ(s->setupMatrix(RArray<const double>(nullptr, 0),
+                             RArray<const int>(bpntr, 1),
+                             RArray<const int>(bindx, 1), SparseStruct::kVbr,
+                             1, 0),
+              static_cast<int>(ErrorCode::kInvalidArgument));
+    comm::releaseHandle(h);
   });
+}
+
+/// One rank's block of a matrix in one of the §5.3 input layouts, as the
+/// setupMatrix arguments carry it (indices already shifted by `offset`).
+struct PortInput {
+  std::vector<double> values;
+  std::vector<int> rows;
+  std::vector<int> columns;
+  int rowsLength = 0;
+  int nnz = 0;
+};
+
+/// Encode the canonical local block `a` (global columns, rows from
+/// `startRow`) in `format`.  FEM splits every entry into two halves, which
+/// sum back exactly; VBR uses 2x2 blocks.
+PortInput encodeBlock(const sparse::CsrMatrix& a, int startRow,
+                      SparseStruct format, int offset) {
+  const int m = a.rows;
+  PortInput in;
+  const auto row = [&a](int i) {
+    return std::pair(a.rowPtr[static_cast<std::size_t>(i)],
+                     a.rowPtr[static_cast<std::size_t>(i) + 1]);
+  };
+  switch (format) {
+    case SparseStruct::kCsr:
+      in.values = a.values;
+      in.rows = a.rowPtr;
+      in.columns = a.colIdx;
+      break;
+    case SparseStruct::kCoo:
+    case SparseStruct::kFem: {
+      const int copies = format == SparseStruct::kFem ? 2 : 1;
+      for (int i = 0; i < m; ++i) {
+        for (auto [k, e] = row(i); k < e; ++k) {
+          for (int c = 0; c < copies; ++c) {
+            in.values.push_back(a.values[static_cast<std::size_t>(k)] /
+                                copies);
+            in.rows.push_back(startRow + i);
+            in.columns.push_back(a.colIdx[static_cast<std::size_t>(k)]);
+          }
+        }
+      }
+      break;
+    }
+    case SparseStruct::kMsr: {
+      // values = [diag(m), pad, offdiag...]; rows = pointers into that
+      // packed array; columns = the off-diagonals' global columns.
+      in.values.assign(static_cast<std::size_t>(m) + 1, 0.0);
+      in.rows.push_back(m + 1);
+      for (int i = 0; i < m; ++i) {
+        for (auto [k, e] = row(i); k < e; ++k) {
+          const int col = a.colIdx[static_cast<std::size_t>(k)];
+          const double v = a.values[static_cast<std::size_t>(k)];
+          if (col == startRow + i) {
+            in.values[static_cast<std::size_t>(i)] = v;
+          } else {
+            in.values.push_back(v);
+            in.columns.push_back(col);
+          }
+        }
+        in.rows.push_back(static_cast<int>(in.values.size()));
+      }
+      break;
+    }
+    case SparseStruct::kVbr: {
+      // rows = block-row pointers; columns = block columns; values = the
+      // dense column-major 2x2 blocks, explicit zeros included.
+      const int bs = 2;
+      in.rows.push_back(0);
+      for (int br = 0; br < m / bs; ++br) {
+        std::vector<int> blockCols;
+        for (int li = 0; li < bs; ++li) {
+          for (auto [k, e] = row(br * bs + li); k < e; ++k) {
+            blockCols.push_back(a.colIdx[static_cast<std::size_t>(k)] / bs);
+          }
+        }
+        std::sort(blockCols.begin(), blockCols.end());
+        blockCols.erase(std::unique(blockCols.begin(), blockCols.end()),
+                        blockCols.end());
+        for (const int bc : blockCols) {
+          const std::size_t base = in.values.size();
+          in.values.resize(base + bs * bs, 0.0);
+          for (int li = 0; li < bs; ++li) {
+            for (auto [k, e] = row(br * bs + li); k < e; ++k) {
+              const int col = a.colIdx[static_cast<std::size_t>(k)];
+              if (col / bs != bc) continue;
+              in.values[base + static_cast<std::size_t>(
+                                   (col - bc * bs) * bs + li)] =
+                  a.values[static_cast<std::size_t>(k)];
+            }
+          }
+          in.columns.push_back(bc);
+        }
+        in.rows.push_back(static_cast<int>(in.columns.size()));
+      }
+      break;
+    }
+  }
+  for (int& r : in.rows) r += offset;
+  for (int& c : in.columns) c += offset;
+  in.rowsLength = format == SparseStruct::kCoo || format == SparseStruct::kFem
+                      ? static_cast<int>(in.values.size())
+                      : static_cast<int>(in.rows.size());
+  in.nnz = static_cast<int>(in.values.size());
+  return in;
 }
 
 TEST(LisiFormats, AllFormatsGiveTheSameAnswerOnPde) {
   // Property: the adapted matrix is identical no matter which format the
-  // application chose — same solver, same solution.
+  // application chose, 0- or 1-based — same solver, bitwise same solution.
   World::run(2, [](Comm& c) {
     registerSolverComponents();
     mesh::Pde5ptSpec spec;
-    spec.gridN = 10;
+    spec.gridN = 10;  // 50 rows per rank and 100 columns: 2x2 VBR blocks fit
     const auto sys = mesh::assembleLocal(spec, c.rank(), c.size());
     const int m = sys.localA.rows;
-    const auto coo = sparse::csrToCoo(sys.localA);
 
-    auto solveWith = [&](auto setupFn) {
+    // Returns the setupMatrix code; on success, also the solution.
+    auto solveWith = [&](SparseStruct format, int offset,
+                         std::vector<double>& x) {
       cca::Framework fw;
       fw.instantiate("s", kPkspComponentClass);
       auto s = fw.getProvidesPortAs<SparseSolver>("s", kSparseSolverPortName);
@@ -543,47 +757,50 @@ TEST(LisiFormats, AllFormatsGiveTheSameAnswerOnPde) {
       EXPECT_EQ(s->setStartRow(sys.startRow), 0);
       EXPECT_EQ(s->setLocalRows(m), 0);
       EXPECT_EQ(s->setGlobalCols(sys.globalN), 0);
+      EXPECT_EQ(s->setBlockSize(2), 0);
       EXPECT_EQ(s->set("solver", "bicgstab"), 0);
       EXPECT_EQ(s->set("preconditioner", "jacobi"), 0);
       EXPECT_EQ(s->setDouble("tol", 1e-12), 0);
       EXPECT_EQ(s->setInt("maxits", 10000), 0);
-      setupFn(*s);
-      EXPECT_EQ(s->setupRHS(RArray<const double>(sys.localB.data(), m), m, 1),
-                0);
-      std::vector<double> x(static_cast<std::size_t>(m));
-      std::vector<double> st(kStatusLength);
-      EXPECT_EQ(s->solve(RArray<double>(x.data(), m),
-                         RArray<double>(st.data(), kStatusLength), m,
-                         kStatusLength),
-                0);
+      const PortInput in =
+          encodeBlock(sys.localA, sys.startRow, format, offset);
+      const int rc = s->setupMatrix(
+          RArray<const double>(in.values.data(), in.nnz),
+          RArray<const int>(in.rows.data(), static_cast<int>(in.rows.size())),
+          RArray<const int>(in.columns.data(),
+                            static_cast<int>(in.columns.size())),
+          format, in.rowsLength, in.nnz, offset);
+      if (rc == 0) {
+        EXPECT_EQ(
+            s->setupRHS(RArray<const double>(sys.localB.data(), m), m, 1), 0);
+        x.assign(static_cast<std::size_t>(m), 0.0);
+        std::vector<double> st(kStatusLength);
+        EXPECT_EQ(s->solve(RArray<double>(x.data(), m),
+                           RArray<double>(st.data(), kStatusLength), m,
+                           kStatusLength),
+                  0);
+      }
       comm::releaseHandle(h);
-      return x;
+      return rc;
     };
 
-    const auto viaCsr = solveWith([&](SparseSolver& s) {
-      EXPECT_EQ(
-          s.setupMatrix(
-              RArray<const double>(sys.localA.values.data(), sys.localA.nnz()),
-              RArray<const int>(sys.localA.rowPtr.data(), m + 1),
-              RArray<const int>(sys.localA.colIdx.data(), sys.localA.nnz()),
-              SparseStruct::kCsr, m + 1, sys.localA.nnz()),
-          0);
-    });
-    const auto viaCoo = solveWith([&](SparseSolver& s) {
-      // Global row indices for COO input.
-      std::vector<int> grow(coo.rowIdx.size());
-      for (std::size_t k = 0; k < grow.size(); ++k) {
-        grow[k] = coo.rowIdx[k] + sys.startRow;
+    std::vector<double> viaCsr;
+    ASSERT_EQ(solveWith(SparseStruct::kCsr, 0, viaCsr), 0);
+    for (const SparseStruct format :
+         {SparseStruct::kCsr, SparseStruct::kCoo, SparseStruct::kMsr,
+          SparseStruct::kVbr, SparseStruct::kFem}) {
+      for (const int offset : {0, 1}) {
+        std::vector<double> x;
+        ASSERT_EQ(solveWith(format, offset, x), 0)
+            << sparse::sparseStructName(format) << " offset " << offset;
+        EXPECT_EQ(x, viaCsr)
+            << sparse::sparseStructName(format) << " offset " << offset;
       }
-      EXPECT_EQ(s.setupMatrix(
-                    RArray<const double>(coo.values.data(), coo.nnz()),
-                    RArray<const int>(grow.data(), coo.nnz()),
-                    RArray<const int>(coo.colIdx.data(), coo.nnz()), coo.nnz()),
-                0);
-    });
-    for (std::size_t i = 0; i < viaCsr.size(); ++i) {
-      EXPECT_NEAR(viaCsr[i], viaCoo[i], 1e-9);
     }
+    // A layout outside the paper's five (once the toolkit's CSC) is refused.
+    std::vector<double> x;
+    EXPECT_EQ(solveWith(static_cast<SparseStruct>(5), 0, x),
+              static_cast<int>(ErrorCode::kUnsupported));
   });
 }
 

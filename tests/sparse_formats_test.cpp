@@ -1,5 +1,5 @@
-// Unit tests for sparse storage formats: validation, canonicalization, and
-// the SparseStruct enum helpers.
+// Unit tests for the internal sparse storage formats: validation and
+// canonicalization.
 #include <gtest/gtest.h>
 
 #include "sparse/formats.hpp"
@@ -17,20 +17,6 @@ CsrMatrix tinyCsr() {
   a.colIdx = {0, 2, 1};
   a.values = {1.0, 2.0, 3.0};
   return a;
-}
-
-TEST(SparseStructEnum, NamesRoundTrip) {
-  for (SparseStruct s :
-       {SparseStruct::kCsr, SparseStruct::kCoo, SparseStruct::kMsr,
-        SparseStruct::kVbr, SparseStruct::kFem, SparseStruct::kCsc}) {
-    EXPECT_EQ(sparseStructFromName(sparseStructName(s)), s);
-  }
-}
-
-TEST(SparseStructEnum, ParseIsCaseInsensitive) {
-  EXPECT_EQ(sparseStructFromName(" csr "), SparseStruct::kCsr);
-  EXPECT_EQ(sparseStructFromName("Coo"), SparseStruct::kCoo);
-  EXPECT_THROW(sparseStructFromName("bogus"), Error);
 }
 
 TEST(Coo, CheckAcceptsValid) {
@@ -117,49 +103,6 @@ TEST(Csc, CheckValidAndInvalid) {
   EXPECT_NO_THROW(c.check());
   c.rowIdx[0] = 3;
   EXPECT_THROW(c.check(), Error);
-}
-
-TEST(Msr, CheckValid) {
-  // 2x2 matrix [4 1; 0 5] in MSR.
-  MsrMatrix m;
-  m.n = 2;
-  m.bindx = {3, 4, 4, 1};  // bindx[0]=n+1=3, row0 has one offdiag (col 1)
-  m.val = {4.0, 5.0, 0.0, 1.0};
-  EXPECT_NO_THROW(m.check());
-  EXPECT_EQ(m.nnz(), 3);
-}
-
-TEST(Msr, CheckRejectsBadHeader) {
-  MsrMatrix m;
-  m.n = 2;
-  m.bindx = {2, 4, 4, 1};  // bindx[0] must be n+1
-  m.val = {4.0, 5.0, 0.0, 1.0};
-  EXPECT_THROW(m.check(), Error);
-}
-
-TEST(Vbr, CheckValidSingleBlock) {
-  // One 2x2 dense block.
-  VbrMatrix v;
-  v.rpntr = {0, 2};
-  v.cpntr = {0, 2};
-  v.bpntr = {0, 1};
-  v.bindx = {0};
-  v.indx = {0, 4};
-  v.val = {1, 2, 3, 4};
-  EXPECT_NO_THROW(v.check());
-  EXPECT_EQ(v.rows(), 2);
-  EXPECT_EQ(v.cols(), 2);
-}
-
-TEST(Vbr, CheckRejectsExtentMismatch) {
-  VbrMatrix v;
-  v.rpntr = {0, 2};
-  v.cpntr = {0, 2};
-  v.bpntr = {0, 1};
-  v.bindx = {0};
-  v.indx = {0, 3};  // 2x2 block needs 4 values
-  v.val = {1, 2, 3};
-  EXPECT_THROW(v.check(), Error);
 }
 
 }  // namespace
