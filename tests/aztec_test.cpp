@@ -14,6 +14,7 @@
 #include "support/rng.hpp"
 
 #include "block_reference.hpp"
+#include "gmres_golden.hpp"
 
 namespace aztec {
 namespace {
@@ -584,6 +585,97 @@ TEST(AztecMulti, IterateMultiMatchesPerLaneBitwise) {
       }
     });
   }
+}
+
+// Golden pins: the solution bits and iteration counts of three GMRES solves
+// at p = 2, recorded before the kernel stopped storing its cycle residual,
+// the unread basis vector v_m and a per-restart V y vector.  Any change to
+// an Arnoldi step's arithmetic or its order moves a hash.
+//   - GMRES(5) + ILU on the paper's operator, over more than 3 cycles;
+//   - a lucky breakdown: the cyclic shift S on e_0 cancels to exactly zero
+//     at step 8, inside a GMRES(30) cycle;
+//   - iterateMulti with GMRES(8) on S (16 unknowns), lanes that stop at
+//     different steps: period 8 at j = m - 1, period 4 at j = 3, e_0 at the
+//     iteration cap, and a random lane.
+TEST(AztecGmres, GoldenIteratesBitwiseUnchanged) {
+  const auto hashOf = [](const Comm& c, std::span<const double> x) {
+    return lisi::testref::hashBits(c.allgatherv(x));
+  };
+  lisi::mesh::Pde5ptSpec spec;
+  spec.gridN = 12;
+  const auto pde = lisi::mesh::assembleGlobal(spec);
+  World::run(2, [&](Comm& c) {
+    const Map map(pde.globalN, c);
+    const CrsMatrix a = makeCrs(map, pde.localA);
+    Vector x(map);
+    const Vector b(map, sliceFor(map, pde.localB));
+    AztecOO solver(a, x, b);
+    solver.setOption(AZ_solver, AZ_gmres)
+        .setOption(AZ_precond, AZ_dom_decomp)
+        .setOption(AZ_kspace, 5);
+    EXPECT_EQ(solver.iterate(500, 1e-10), 0);
+    EXPECT_GT(solver.numIters(), 3 * 5);
+    EXPECT_EQ(solver.numIters(), 35);
+    EXPECT_EQ(hashOf(c, x.localView()), 0x50a2e47bdfcf479eULL)
+        << std::hex << hashOf(c, x.localView());
+  });
+  World::run(2, [&](Comm& c) {
+    const Map map(8, c);
+    const CrsMatrix a = makeCrs(map, lisi::testref::cyclicShift(8));
+    std::vector<double> e0(8, 0.0);
+    e0[0] = 1.0;
+    Vector x(map);
+    const Vector b(map, sliceFor(map, e0));
+    AztecOO solver(a, x, b);
+    solver.setOption(AZ_solver, AZ_gmres).setOption(AZ_kspace, 30);
+    EXPECT_EQ(solver.iterate(100, 1e-10), 0);
+    EXPECT_EQ(solver.numIters(), 8);
+    // Exact arithmetic throughout: x = S^{-1} e_0 = e_7.
+    const std::vector<double> all =
+        c.allgatherv(std::span<const double>(x.localView()));
+    for (std::size_t i = 0; i < all.size(); ++i) {
+      EXPECT_EQ(all[i], i == 7 ? 1.0 : 0.0) << "entry " << i;
+    }
+    EXPECT_EQ(hashOf(c, x.localView()), 0xb90ef03a46722098ULL)
+        << std::hex << hashOf(c, x.localView());
+  });
+  World::run(2, [&](Comm& c) {
+    const int n = 16;
+    const int nv = 4;
+    const Map map(n, c);
+    const CrsMatrix a = makeCrs(map, lisi::testref::cyclicShift(n));
+    std::vector<double> bGlobal(std::size_t(n) * nv, 0.0);
+    for (int i = 0; i < n; i += 8) bGlobal[std::size_t(i)] = 1.0;
+    for (int i = 0; i < n; i += 4) bGlobal[std::size_t(n + i)] = 1.0;
+    bGlobal[std::size_t(2 * n)] = 1.0;
+    Rng rng(23);
+    for (int i = 0; i < n; ++i) {
+      bGlobal[std::size_t(3 * n + i)] = rng.uniform(-1, 1);
+    }
+    const auto s = static_cast<std::size_t>(map.minMyGlobalIndex());
+    const auto m = static_cast<std::size_t>(map.numMyElements());
+    std::vector<double> bLocal(m * nv);
+    for (std::size_t k = 0; k < nv; ++k) {
+      std::copy_n(bGlobal.begin() + long(k * n + s), m,
+                  bLocal.begin() + long(k * m));
+    }
+    MultiVector x(map, nv);
+    const MultiVector b(map, bLocal, nv);
+    AztecOO solver(a, x, b);
+    solver.setOption(AZ_solver, AZ_gmres).setOption(AZ_kspace, 8);
+    EXPECT_EQ(solver.iterateMulti(20, 1e-10), 1);
+    EXPECT_EQ(solver.terminationReason(), AZ_maxits);
+    EXPECT_EQ(solver.numIters(), 20);
+    std::vector<double> xLocal(m * nv);
+    x.extract(std::span<double>(xLocal));
+    const std::uint64_t pins[] = {0x1ac8ca8909283925ULL, 0x35beec0ae9236425ULL,
+                                  0x8421ae126c7ced25ULL, 0x075e8ebe55e94be5ULL};
+    for (std::size_t k = 0; k < nv; ++k) {
+      const auto lane = std::span<const double>(xLocal).subspan(k * m, m);
+      EXPECT_EQ(hashOf(c, lane), pins[k])
+          << "lane " << k << std::hex << " hash 0x" << hashOf(c, lane);
+    }
+  });
 }
 
 TEST(AztecMulti, SingleVectorIterateRejectedOnBlockProblem) {

@@ -23,6 +23,7 @@
 // asserted directly.
 #include "alloc_count.hpp"
 #include "block_reference.hpp"
+#include "gmres_golden.hpp"
 
 namespace pksp {
 namespace {
@@ -781,6 +782,109 @@ TEST(PkspGmres, WarmArnoldiStepAllocatesNothing) {
       (void)allocations(2, nRhs);  // warm the matrix's halo scratch
       EXPECT_EQ(allocations(2, nRhs), allocations(25, nRhs))
           << nRhs << " lanes";
+    }
+  });
+}
+
+// Golden pins: the solution bits and iteration counts of three GMRES solves
+// at p = 2, recorded before the kernel dropped its cycle-residual vector and
+// the unread basis vector v_m.  Any change to an Arnoldi step's arithmetic
+// or its order moves a hash.
+//   - GMRES(5) + ILU(0) on the paper's operator, over more than 3 cycles;
+//   - a lucky breakdown: the cyclic shift S on e_0 cancels to exactly zero
+//     at step 8, inside a GMRES(30) cycle;
+//   - a blocked GMRES(8) solve on S (16 unknowns) whose lanes freeze at
+//     different steps: period 8 at j = m - 1, period 4 at j = 3, e_0 at the
+//     iteration cap, and a random lane.
+TEST(PkspGmres, GoldenIteratesBitwiseUnchanged) {
+  struct Pin {
+    std::uint64_t hash;
+    int iterations;
+  };
+  const auto check = [](const Comm& c, std::span<const double> x,
+                        const detail::SolveReport& rep, const Pin& pin,
+                        const char* what) {
+    const std::vector<double> all = c.allgatherv(x);
+    EXPECT_EQ(hashBits(all), pin.hash)
+        << what << std::hex << " hash 0x" << hashBits(all);
+    EXPECT_EQ(rep.iterations, pin.iterations) << what;
+    EXPECT_GT(rep.reason, 0) << what;
+  };
+  lisi::mesh::Pde5ptSpec spec;
+  spec.gridN = 12;
+  const auto pde = lisi::mesh::assembleGlobal(spec);
+  World::run(2, [&](Comm& c) {
+    DistCsrMatrix a = DistCsrMatrix::scatterFromRoot(c, pde.localA);
+    const auto s = static_cast<std::size_t>(a.startRow());
+    const auto m = static_cast<std::size_t>(a.localRows());
+    const std::vector<double> b(pde.localB.begin() + long(s),
+                                pde.localB.begin() + long(s + m));
+    std::vector<double> x(m, 0.0);
+    const auto ilu = detail::makeLocalIlu0(a);
+    detail::Tolerances tol;
+    tol.rtol = 1e-10;
+    tol.atol = 1e-14;
+    tol.maxits = 500;
+    const detail::SolveReport rep =
+        detail::runGmres(c, detail::MatrixOperator(&a), *ilu, b, x, tol, 5);
+    EXPECT_GT(rep.iterations, 3 * 5);
+    check(c, x, rep, {0xd244a2b6812f9b2eULL, 37}, "restarted");
+  });
+  World::run(2, [&](Comm& c) {
+    DistCsrMatrix a = DistCsrMatrix::scatterFromRoot(c, cyclicShift(8));
+    const auto m = static_cast<std::size_t>(a.localRows());
+    std::vector<double> b(m, 0.0), x(m, 0.0);
+    if (a.startRow() == 0) b[0] = 1.0;
+    detail::Tolerances tol;
+    tol.rtol = 1e-10;
+    tol.maxits = 100;
+    const detail::SolveReport rep = detail::runGmres(
+        c, detail::MatrixOperator(&a), detail::IdentityPc(), b, x, tol, 30);
+    EXPECT_EQ(rep.iterations, 8);
+    // Exact arithmetic throughout: x = S^{-1} e_0 = e_7.
+    const std::vector<double> all = c.allgatherv(std::span<const double>(x));
+    for (std::size_t i = 0; i < all.size(); ++i) {
+      EXPECT_EQ(all[i], i == 7 ? 1.0 : 0.0) << "entry " << i;
+    }
+    check(c, x, rep, {0xb90ef03a46722098ULL, 8}, "lucky breakdown");
+  });
+  World::run(2, [&](Comm& c) {
+    const int n = 16;
+    const int nRhs = 4;
+    DistCsrMatrix a = DistCsrMatrix::scatterFromRoot(c, cyclicShift(n));
+    const auto s = static_cast<std::size_t>(a.startRow());
+    const auto m = static_cast<std::size_t>(a.localRows());
+    std::vector<double> bGlobal(std::size_t(n) * nRhs, 0.0);
+    for (int i = 0; i < n; i += 8) bGlobal[std::size_t(i)] = 1.0;
+    for (int i = 0; i < n; i += 4) bGlobal[std::size_t(n + i)] = 1.0;
+    bGlobal[std::size_t(2 * n)] = 1.0;
+    Rng rng(23);
+    for (int i = 0; i < n; ++i) {
+      bGlobal[std::size_t(3 * n + i)] = rng.uniform(-1, 1);
+    }
+    std::vector<double> b(m * nRhs), x(m * nRhs, 0.0);
+    for (std::size_t k = 0; k < nRhs; ++k) {
+      std::copy_n(bGlobal.begin() + long(k * n + s), m,
+                  b.begin() + long(k * m));
+    }
+    detail::Tolerances tol;
+    tol.rtol = 1e-10;
+    tol.maxits = 20;
+    const std::vector<detail::SolveReport> reps = detail::runBlockedGmres(
+        c, a, detail::IdentityPc(), b, x, nRhs, tol, 8);
+    EXPECT_EQ(reps[0].iterations, 8);
+    EXPECT_EQ(reps[1].iterations, 4);
+    EXPECT_EQ(reps[2].reason, PKSP_DIVERGED_ITS);
+    const Pin pins[] = {{0x1ac8ca8909283925ULL, 8},
+                        {0x35beec0ae9236425ULL, 4},
+                        {0x8421ae126c7ced25ULL, 20},
+                        {0x266b3056fd5af612ULL, 20}};
+    for (std::size_t k = 0; k < nRhs; ++k) {
+      const std::vector<double> all =
+          c.allgatherv(std::span<const double>(x).subspan(k * m, m));
+      EXPECT_EQ(hashBits(all), pins[k].hash)
+          << "lane " << k << std::hex << " hash 0x" << hashBits(all);
+      EXPECT_EQ(reps[k].iterations, pins[k].iterations) << "lane " << k;
     }
   });
 }
