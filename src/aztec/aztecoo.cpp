@@ -290,6 +290,11 @@ IterationResult runCg(const RowMatrix& a, const PcApply& pc, const Vector& b,
 /// lisi::sparse, as in pksp's GMRES: one reduction for the projections and
 /// ||w||^2, one for the new norm, and a second pass only when Kelley's test
 /// flags cancellation (every rank branches on the same reduced values).
+///
+/// The workspace is m basis vectors plus w and mz, as in pksp: the cycle's
+/// residual is formed in v_0 and scaled there, v_m is never stored (its
+/// norm h_{m,m-1} feeds the last rotation, but x += M^{-1} V_m y reads only
+/// v_0 .. v_{m-1}), and V y and the final true residual are built in w.
 IterationResult runGmres(const RowMatrix& a, const PcApply& pc,
                          const Vector& b, Vector& x, int maxIter,
                          double threshold, int kspace) {
@@ -297,10 +302,10 @@ IterationResult runGmres(const RowMatrix& a, const PcApply& pc,
   const lisi::comm::Comm& comm = map.comm();
   const int m = std::max(1, kspace);
   IterationResult res;
-  Vector r(map), w(map), mz(map);
+  Vector w(map), mz(map);
   std::vector<Vector> v;
-  v.reserve(static_cast<std::size_t>(m) + 1);
-  for (int i = 0; i <= m; ++i) v.emplace_back(map);
+  v.reserve(static_cast<std::size_t>(m));
+  for (int i = 0; i < m; ++i) v.emplace_back(map);
   std::vector<std::span<const double>> cols;
   for (const Vector& vi : v) cols.push_back(vi.localView());
   std::vector<lisi::sparse::DotArgs> dots(static_cast<std::size_t>(m) + 2);
@@ -311,11 +316,12 @@ IterationResult runGmres(const RowMatrix& a, const PcApply& pc,
   std::vector<double> cs(static_cast<std::size_t>(m), 0.0);
   std::vector<double> sn(static_cast<std::size_t>(m), 0.0);
   std::vector<double> g(static_cast<std::size_t>(m) + 1, 0.0);
+  std::vector<double> y(static_cast<std::size_t>(m), 0.0);
 
   while (true) {
-    a.apply(x, r);
-    r.update(1.0, b, -1.0);
-    double beta = r.norm2();
+    a.apply(x, v[0]);
+    v[0].update(1.0, b, -1.0);
+    double beta = v[0].norm2();
     res.resid = beta;
     if (isBad(beta)) {
       res.why = AZ_breakdown;
@@ -325,7 +331,7 @@ IterationResult runGmres(const RowMatrix& a, const PcApply& pc,
       res.why = AZ_normal;
       return res;
     }
-    v[0].scale(1.0 / beta, r);
+    v[0].scale(1.0 / beta, v[0]);
     std::fill(g.begin(), g.end(), 0.0);
     g[0] = beta;
 
@@ -377,7 +383,7 @@ IterationResult runGmres(const RowMatrix& a, const PcApply& pc,
         return res;
       }
       const bool lucky = hnext <= 1e-300;
-      if (!lucky) v[ju + 1].scale(1.0 / hnext, w);
+      if (!lucky && j + 1 < m) v[ju + 1].scale(1.0 / hnext, w);  // no v_m
       for (std::size_t i = 0; i < ju; ++i) {
         const double t = cs[i] * h[i][ju] + sn[i] * h[i + 1][ju];
         h[i + 1][ju] = -sn[i] * h[i][ju] + cs[i] * h[i + 1][ju];
@@ -402,8 +408,7 @@ IterationResult runGmres(const RowMatrix& a, const PcApply& pc,
       }
     }
 
-    // x += M^{-1} (V y): accumulate V y first, precondition once.
-    std::vector<double> y(static_cast<std::size_t>(j), 0.0);
+    // x += M^{-1} (V y): accumulate V y in w first, precondition once.
     for (int i = j - 1; i >= 0; --i) {
       double acc = g[static_cast<std::size_t>(i)];
       for (int k = i + 1; k < j; ++k) {
@@ -417,20 +422,20 @@ IterationResult runGmres(const RowMatrix& a, const PcApply& pc,
       }
       y[static_cast<std::size_t>(i)] = acc / hii;
     }
-    Vector vy(map);
+    w.putScalar(0.0);
     for (int i = 0; i < j; ++i) {
-      vy.update(y[static_cast<std::size_t>(i)], v[static_cast<std::size_t>(i)],
-                1.0);
+      w.update(y[static_cast<std::size_t>(i)], v[static_cast<std::size_t>(i)],
+               1.0);
     }
-    pc(vy, mz);
+    pc(w, mz);
     x.update(1.0, mz, 1.0);
 
     if (converged && res.resid <= threshold) {
       // Recompute the true residual (right preconditioning keeps them
       // equal up to rounding, but report the honest number).
-      a.apply(x, r);
-      r.update(1.0, b, -1.0);
-      res.resid = r.norm2();
+      a.apply(x, w);
+      w.update(1.0, b, -1.0);
+      res.resid = w.norm2();
       res.why = AZ_normal;
       return res;
     }

@@ -1,7 +1,7 @@
 // LISI solver component backed by SLU (the SuperLU-analogue direct solver).
 //
 // SLU is sequential, so the adapter gathers the block-row distributed
-// system onto rank 0, factors and solves there, and scatters the solution
+// system onto rank 0, factors and solves there, and broadcasts the solution
 // back — the interface contract (block rows in, block rows out) is
 // identical to the iterative components', which is exactly the paper's
 // point: the application cannot tell a direct component from an iterative
@@ -98,11 +98,10 @@ class SluSolverPort final : public detail::SolverComponentBase {
       factorOptions_ = opts;
     }
 
-    // Gather b, solve on root, scatter x.
+    // Gather b, solve on root, broadcast x.
     const std::vector<double> bGlobal = a.gatherVectorToRoot(b, 0);
-    std::vector<double> xGlobal;
+    std::vector<double> xGlobal(static_cast<std::size_t>(a.globalRows()));
     if (isRoot) {
-      xGlobal.resize(bGlobal.size());
       if (mixed) {
         // Float32 triangular solves corrected by float64 refinement sweeps
         // (each sweep: one SpMV residual + one low-precision solve).
@@ -112,15 +111,22 @@ class SluSolverPort final : public detail::SolverComponentBase {
         factor_->solve(bGlobal, xGlobal);
       }
     }
-    const std::vector<double> xLocal = a.scatterVectorFromRoot(
-        isRoot ? std::span<const double>(xGlobal) : std::span<const double>(),
-        0);
-    std::copy(xLocal.begin(), xLocal.end(), x.begin());
+    ctx.comm->bcast(std::span<double>(xGlobal), 0);
+    std::copy_n(xGlobal.begin() + a.startRow(), x.size(), x.begin());
 
-    // True residual through the distributed operator.
+    // True residual from the replicated solution: each row sums its stored
+    // entries in order, so r is bitwise spmv's, without the halo plan a
+    // first product would build.
+    const sparse::OwnedBlockView blk = a.ownedBlockView();
     std::vector<double> r(b.size());
-    a.spmv(x, std::span<double>(r));
-    for (std::size_t i = 0; i < r.size(); ++i) r[i] = b[i] - r[i];
+    for (int i = 0; i < blk.rows; ++i) {
+      double acc = 0.0;
+      for (int k = blk.rowPtr[i]; k < blk.rowPtr[i + 1]; ++k) {
+        acc += blk.values[k] *
+               xGlobal[static_cast<std::size_t>(a.globalCol(blk.colIdx[k]))];
+      }
+      r[static_cast<std::size_t>(i)] = b[static_cast<std::size_t>(i)] - acc;
+    }
     stats.iterations = 0;  // direct solve
     stats.residualNorm = sparse::distNorm2(*ctx.comm, r);
     stats.converged = true;

@@ -30,10 +30,26 @@
 // Basis column j of every lane is one vector-major block (lane v at
 // [v*n, (v+1)*n)) that feeds spmvMulti directly, with no copy.  Each column
 // block is its own allocation, the size of one block-vector, like every
-// other buffer here: one (m+1)-column allocation would cross glibc's mmap
+// other buffer here: one m-column allocation would cross glibc's mmap
 // threshold and, once freed, raise it, leaving rank-thread arenas holding
 // megabytes (peak RSS).  Every buffer is sized once per solve, and a warm
 // Arnoldi step allocates nothing.
+//
+// The workspace per lane is m basis vectors plus w (the operator's output)
+// and wz (the preconditioner's), and nothing else:
+//   - a cycle's residual b - Ax is formed in w, which the next operator
+//     application overwrites only after wz has seeded v_0;
+//   - v_m is never stored.  The last step's h_{m,m-1} = |w| still feeds its
+//     Givens rotation and the residual estimate, but x += V_m y reads only
+//     v_0 .. v_{m-1} (Saad & Schultz 1986), and the next cycle starts from
+//     the new residual.
+// Two smaller workspaces were measured and deferred (300^2 GMRES(30) +
+// ILU(0) at p=4 on a shared 4-core host): forming v_{j+1} in its basis slot
+// instead of wz saves one more vector (-1.5 MB peak RSS), and also applying
+// ILU(0) in place saves -2.15 MB.  Each made the native single solve 4-7%
+// faster, which raised lisibench's service_burst port_ratio (a closed-loop
+// latency over one uncontended solve) by 4.5-7%; both wait until that ratio
+// compares like with like (ROADMAP item 11(c)).
 #include <algorithm>
 #include <cmath>
 
@@ -59,7 +75,7 @@ struct Lane {
   Vec sn;  ///< Givens sines
   Vec g;   ///< rotated right-hand side
   Vec y;   ///< triangular-solve scratch
-  std::vector<std::span<const double>> cols;  ///< basis columns 0..mr
+  std::vector<std::span<const double>> cols;  ///< basis columns 0..mr-1
   Monitor mon;
   int its = 0;     ///< iterations over all cycles (maxits cap)
   int jTaken = 0;  ///< columns built in this cycle
@@ -85,8 +101,9 @@ std::vector<SolveReport> gmresLanes(const Comm& comm, const BlockApply& apply,
 
   std::vector<SolveReport> reps(nv);
   std::vector<Lane> lanes(nv);
-  Vec r(n * nv), w(n * nv), wz(n * nv);
-  std::vector<Vec> basis(mru + 1, Vec(nv * n));
+  Vec w(n * nv), wz(n * nv);
+  std::vector<Vec> basis(mru);
+  for (Vec& blk : basis) blk.resize(nv * n);
   for (std::size_t v = 0; v < nv; ++v) {
     Lane& L = lanes[v];
     L.h.assign(ldh * mru, 0.0);
@@ -94,7 +111,7 @@ std::vector<SolveReport> gmresLanes(const Comm& comm, const BlockApply& apply,
     L.sn.assign(mru, 0.0);
     L.g.assign(mru + 1, 0.0);
     L.y.assign(mru, 0.0);
-    for (std::size_t i = 0; i <= mru; ++i) {
+    for (std::size_t i = 0; i < mru; ++i) {
       L.cols.emplace_back(basis[i].data() + v * n, n);
     }
   }
@@ -117,9 +134,9 @@ std::vector<SolveReport> gmresLanes(const Comm& comm, const BlockApply& apply,
     if (nRun == 0) return reps;
 
     // ---- cycle start: preconditioned residual of every running lane ----
-    apply(std::span<const double>(x), std::span<double>(r));
-    for (std::size_t i = 0; i < n * nv; ++i) r[i] = b[i] - r[i];
-    m.applyLanes(r, wz, std::span<const std::size_t>(running.data(), nRun),
+    apply(std::span<const double>(x), std::span<double>(w));
+    for (std::size_t i = 0; i < n * nv; ++i) w[i] = b[i] - w[i];
+    m.applyLanes(w, wz, std::span<const std::size_t>(running.data(), nRun),
                  n);
     for (std::size_t k = 0; k < nRun; ++k) {
       dots[k] = {laneOf(wz, running[k]), laneOf(wz, running[k])};
@@ -268,7 +285,7 @@ std::vector<SolveReport> gmresLanes(const Comm& comm, const BlockApply& apply,
           continue;
         }
         const bool luckyBreakdown = hnext <= 1e-300;
-        if (!luckyBreakdown) {
+        if (!luckyBreakdown && ju + 1 < mru) {  // v_m is never read
           const std::span<const double> wzv = laneOf(wz, v);
           double* next = basis[ju + 1].data() + v * n;
           for (std::size_t t = 0; t < n; ++t) next[t] = wzv[t] / hnext;

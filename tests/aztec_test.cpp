@@ -13,6 +13,8 @@
 #include "sparse/ops.hpp"
 #include "support/rng.hpp"
 
+// Counts heap allocations, so the GMRES workspace can be held to a budget.
+#include "alloc_count.hpp"
 #include "block_reference.hpp"
 #include "gmres_golden.hpp"
 
@@ -585,6 +587,41 @@ TEST(AztecMulti, IterateMultiMatchesPerLaneBitwise) {
       }
     });
   }
+}
+
+// GMRES(m) keeps only the vectors it reads: m basis vectors, w and mz.  A
+// solve over several restart cycles allocates at most (m + 2) n-vectors
+// plus O(m^2) for the Hessenberg and its scratch; a cycle-residual copy, a
+// stored v_m or a V y vector per restart would each be an n-vector over.
+// One rank, no preconditioner (whose set-up would count), after a warm
+// solve, so the operator's halo scratch is already sized.
+TEST(AztecGmres, WorkspaceIsTheBasisPlusTwoVectors) {
+  lisi::mesh::Pde5ptSpec spec;
+  spec.gridN = 40;
+  const auto sys = lisi::mesh::assembleGlobal(spec);
+  World::run(1, [&](Comm& c) {
+    const Map map(sys.globalN, c);
+    const CrsMatrix a = makeCrs(map, sys.localA);
+    const Vector b(map, sliceFor(map, sys.localB));
+    const int restart = 10;
+    const auto bytes = [&] {
+      Vector x(map);
+      AztecOO solver(a, x, b);
+      solver.setOption(AZ_solver, AZ_gmres).setOption(AZ_kspace, restart);
+      g_allocBytes.store(0);
+      g_countAllocs.store(true);
+      EXPECT_EQ(solver.iterate(4 * restart, 1e-14), 1);  // several cycles
+      g_countAllocs.store(false);
+      return g_allocBytes.load();
+    };
+    (void)bytes();  // warm the matrix's halo scratch
+    const auto n = static_cast<std::size_t>(sys.globalN);
+    const auto m = static_cast<std::size_t>(restart);
+    const std::size_t budget =
+        (m + 2) * n * sizeof(double) + 64 * (m + 2) * (m + 2);
+    EXPECT_LE(bytes(), budget);
+    EXPECT_LT(budget, (m + 3) * n * sizeof(double));
+  });
 }
 
 // Golden pins: the solution bits and iteration counts of three GMRES solves

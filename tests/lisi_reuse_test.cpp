@@ -11,6 +11,7 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <bit>
 #include <cmath>
 #include <map>
 #include <string>
@@ -538,6 +539,64 @@ TEST_P(LisiAztecView, SameStructureRefreshMatchesFreshComponentBitwise) {
 }
 
 INSTANTIATE_TEST_SUITE_P(Ranks, LisiAztecView, ::testing::Values(1, 2, 4));
+
+// ---- SLU: the status residual without a halo plan ------------------------
+
+class LisiSluResidual : public ::testing::TestWithParam<int> {};  // ranks
+
+TEST_P(LisiSluResidual, StatusResidualIsSpmvsBitwiseWithoutAPlan) {
+  // The SLU port forms its status residual from the broadcast solution,
+  // summing each row's stored entries in order, so a fresh component
+  // builds no halo plan.  The value is bitwise b - A x through spmv on the
+  // same block, then the distributed 2-norm.
+  const int gridN = 15;
+  World::run(GetParam(), [&](Comm& c) {
+    mesh::Pde5ptSpec spec;
+    spec.gridN = gridN;
+    const auto sys = mesh::assembleLocal(spec, c.rank(), c.size());
+    const int m = sys.localA.rows;
+    cca::Framework fw;
+    const long h = comm::registerHandle(c);
+    auto s = wireSolver(fw, h, 2, sys, gridN);
+    const sparse::CsrMatrix& a = sys.localA;
+    ASSERT_EQ(s->setupMatrix(RArray<const double>(a.values.data(), a.nnz()),
+                             RArray<const int>(a.rowPtr.data(), m + 1),
+                             RArray<const int>(a.colIdx.data(), a.nnz()),
+                             SparseStruct::kCsr, m + 1, a.nnz()),
+              0);
+    ASSERT_EQ(s->setupRHS(RArray<const double>(sys.localB.data(), m), m, 1),
+              0);
+    std::vector<double> x(static_cast<std::size_t>(m));
+    std::vector<double> st(kStatusLength);
+
+    c.barrier();
+    const long long plans0 = sparse::haloPlanBuilds();
+    c.barrier();
+    ASSERT_EQ(s->solve(RArray<double>(x.data(), m),
+                       RArray<double>(st.data(), kStatusLength), m,
+                       kStatusLength),
+              0);
+    c.barrier();
+    EXPECT_EQ(sparse::haloPlanBuilds() - plans0, 0)
+        << "the SLU port built a halo plan";
+    c.barrier();
+
+    const sparse::DistCsrMatrix op(c, sys.globalN, sys.globalN, sys.startRow,
+                                   sys.localA);
+    std::vector<double> r(static_cast<std::size_t>(m));
+    op.spmv(x, std::span<double>(r));
+    for (std::size_t i = 0; i < r.size(); ++i) r[i] = sys.localB[i] - r[i];
+    const double expected =
+        sparse::distNorm2(c, std::span<const double>(r));
+    EXPECT_EQ(std::bit_cast<std::uint64_t>(st[kStatusResidualNorm]),
+              std::bit_cast<std::uint64_t>(expected))
+        << st[kStatusResidualNorm] << " vs " << expected;
+    EXPECT_LT(expected, 1e-10);
+    comm::releaseHandle(h);
+  });
+}
+
+INSTANTIATE_TEST_SUITE_P(Ranks, LisiSluResidual, ::testing::Values(1, 2, 4));
 
 // ---- FEM duplicate triplets: assembly order must not change the pattern --
 

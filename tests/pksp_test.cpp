@@ -786,6 +786,56 @@ TEST(PkspGmres, WarmArnoldiStepAllocatesNothing) {
   });
 }
 
+// GMRES(m) keeps per lane only the vectors it reads: m basis vectors, the
+// operator's output w and the preconditioner's output wz.  A solve over
+// several restart cycles, single and 3-lane blocked, allocates at most
+// (m + 2) n-vectors per lane plus O(m^2) for the Hessenberg and its
+// scratch; a cycle-residual copy or a stored v_m would be one n-vector
+// over.  One rank, after a warm solve, so the operator's halo scratch is
+// already sized.
+TEST(PkspGmres, WorkspaceIsTheBasisPlusTwoVectors) {
+  lisi::mesh::Pde5ptSpec spec;
+  spec.gridN = 40;
+  const auto sys = lisi::mesh::assembleGlobal(spec);
+  World::run(1, [&](Comm& c) {
+    DistCsrMatrix a = DistCsrMatrix::scatterFromRoot(c, sys.localA);
+    const auto pc = detail::makeLocalIlu0(a);
+    const detail::MatrixOperator op(&a);
+    const std::size_t n = sys.localB.size();
+    const int restart = 10;
+    const auto m = static_cast<std::size_t>(restart);
+    const auto bytes = [&](int nRhs) {
+      const auto nv = static_cast<std::size_t>(nRhs);
+      std::vector<double> b(n * nv);
+      for (std::size_t i = 0; i < b.size(); ++i) {
+        b[i] = sys.localB[i % n] * (1.0 + 0.1 * static_cast<double>(i / n));
+      }
+      std::vector<double> x(b.size(), 0.0);
+      detail::Tolerances tol;
+      tol.rtol = 1e-10;
+      tol.maxits = 4 * restart;  // several cycles, none converged
+      g_allocBytes.store(0);
+      g_countAllocs.store(true);
+      if (nRhs == 1) {
+        (void)detail::runGmres(c, op, *pc, b, x, tol, restart);
+      } else {
+        (void)detail::runBlockedGmres(c, a, *pc, b, x, nRhs, tol, restart);
+      }
+      g_countAllocs.store(false);
+      return g_allocBytes.load();
+    };
+    for (const int nRhs : {1, 3}) {
+      (void)bytes(nRhs);  // warm the matrix's halo scratch
+      const auto nv = static_cast<std::size_t>(nRhs);
+      const std::size_t budget =
+          nv * ((m + 2) * n * sizeof(double) + 64 * (m + 2) * (m + 2));
+      EXPECT_LE(bytes(nRhs), budget) << nRhs << " lanes";
+      EXPECT_GT(budget, nv * (m + 2) * n * sizeof(double));
+      EXPECT_LT(budget, nv * (m + 3) * n * sizeof(double));
+    }
+  });
+}
+
 // Golden pins: the solution bits and iteration counts of three GMRES solves
 // at p = 2, recorded before the kernel dropped its cycle-residual vector and
 // the unread basis vector v_m.  Any change to an Arnoldi step's arithmetic
