@@ -291,10 +291,10 @@ IterationResult runCg(const RowMatrix& a, const PcApply& pc, const Vector& b,
 /// ||w||^2, one for the new norm, and a second pass only when Kelley's test
 /// flags cancellation (every rank branches on the same reduced values).
 ///
-/// The workspace is m basis vectors plus w and mz, as in pksp: the cycle's
-/// residual is formed in v_0 and scaled there, v_m is never stored (its
-/// norm h_{m,m-1} feeds the last rotation, but x += M^{-1} V_m y reads only
-/// v_0 .. v_{m-1}), and V y and the final true residual are built in w.
+/// The workspace is m basis vectors plus w and mz: the cycle's residual is
+/// formed and scaled in v_0, v_m is never stored (as in pksp_gmres.cpp,
+/// which also lists the deferred smaller variants), and V y and the final
+/// true residual are built in w.
 IterationResult runGmres(const RowMatrix& a, const PcApply& pc,
                          const Vector& b, Vector& x, int maxIter,
                          double threshold, int kspace) {

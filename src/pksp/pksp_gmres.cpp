@@ -35,21 +35,14 @@
 // megabytes (peak RSS).  Every buffer is sized once per solve, and a warm
 // Arnoldi step allocates nothing.
 //
-// The workspace per lane is m basis vectors plus w (the operator's output)
-// and wz (the preconditioner's), and nothing else:
-//   - a cycle's residual b - Ax is formed in w, which the next operator
-//     application overwrites only after wz has seeded v_0;
-//   - v_m is never stored.  The last step's h_{m,m-1} = |w| still feeds its
-//     Givens rotation and the residual estimate, but x += V_m y reads only
-//     v_0 .. v_{m-1} (Saad & Schultz 1986), and the next cycle starts from
-//     the new residual.
-// Two smaller workspaces were measured and deferred (300^2 GMRES(30) +
-// ILU(0) at p=4 on a shared 4-core host): forming v_{j+1} in its basis slot
-// instead of wz saves one more vector (-1.5 MB peak RSS), and also applying
-// ILU(0) in place saves -2.15 MB.  Each made the native single solve 4-7%
-// faster, which raised lisibench's service_burst port_ratio (a closed-loop
-// latency over one uncontended solve) by 4.5-7%; both wait until that ratio
-// compares like with like (ROADMAP item 11(c)).
+// Per lane the workspace is m basis vectors plus w (the operator's output)
+// and wz (the preconditioner's).  A cycle's residual b - Ax is formed in w.
+// v_m is never stored: h_{m,m-1} = |w| still feeds the last Givens rotation
+// and the residual estimate, but x += V_m y reads only v_0 .. v_{m-1}
+// (Saad & Schultz 1986).  Deferred (300^2 GMRES(30) + ILU(0), p=4, 4-core
+// host): forming v_{j+1} in its basis slot (-1.5 MB peak RSS) and also
+// applying ILU(0) in place (-2.15 MB) each sped up the native solve 4-7%,
+// raising lisibench's service_burst port_ratio 4.5-7% (ROADMAP item 11(c)).
 #include <algorithm>
 #include <cmath>
 

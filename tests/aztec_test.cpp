@@ -620,6 +620,7 @@ TEST(AztecGmres, WorkspaceIsTheBasisPlusTwoVectors) {
     const std::size_t budget =
         (m + 2) * n * sizeof(double) + 64 * (m + 2) * (m + 2);
     EXPECT_LE(bytes(), budget);
+    // The slack stays below one more n-vector.
     EXPECT_LT(budget, (m + 3) * n * sizeof(double));
   });
 }

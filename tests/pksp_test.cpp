@@ -830,7 +830,7 @@ TEST(PkspGmres, WorkspaceIsTheBasisPlusTwoVectors) {
       const std::size_t budget =
           nv * ((m + 2) * n * sizeof(double) + 64 * (m + 2) * (m + 2));
       EXPECT_LE(bytes(nRhs), budget) << nRhs << " lanes";
-      EXPECT_GT(budget, nv * (m + 2) * n * sizeof(double));
+      // The slack stays below one more n-vector per lane.
       EXPECT_LT(budget, nv * (m + 3) * n * sizeof(double));
     }
   });
